@@ -269,7 +269,7 @@ class HashDivision(QueryIterator):
                 return None  # no matching divisor tuple: discard
         quotient_key = self._quotient_of(row)
         payload, inserted = self._quotient_table.find_or_insert(
-            quotient_key, lambda: self._new_candidate()
+            quotient_key, self._new_candidate
         )
         if self.mode == "counter":
             return self._consume_counter(quotient_key, payload, divisor_number)

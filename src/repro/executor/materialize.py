@@ -38,12 +38,15 @@ class Materialize(QueryIterator):
         try:
             self.input_op.open()
             try:
-                encode = self._codec.encode
-                self._file.append_many(encode(row) for row in self.input_op)
+                # Record at a time: pulling a row may fix input pages,
+                # and batching the spool would change the order pages
+                # are fixed in, so which frame a small pool evicts.
+                encode, append = self._codec.encode, self._file.append
+                for row in self.input_op:
+                    append(encode(row))
             finally:
                 self.input_op.close()
-            decode = self._codec.decode
-            self._rows = (decode(record) for _rid, record in self._file.scan())
+            self._rows = self._file.scan_tuples(self._codec)
         except BaseException:
             # A failed _open leaves the operator CLOSED, so _close will
             # never run -- the spool file must be reclaimed here or it
@@ -88,8 +91,7 @@ class TempFileScan(QueryIterator):
         self._rows: Iterator[Row] | None = None
 
     def _open(self) -> None:
-        decode = self._codec.decode
-        self._rows = (decode(record) for _rid, record in self.file.scan())
+        self._rows = self.file.scan_tuples(self._codec)
 
     def _next(self) -> Optional[Row]:
         assert self._rows is not None

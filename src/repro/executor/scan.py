@@ -22,8 +22,9 @@ from repro.storage.catalog import StoredRelation
 class StoredRelationScan(QueryIterator):
     """Sequential scan of a stored relation (heap file + codec).
 
-    Each page is fixed once, in physical order; buffer misses become
-    sequential read transfers on the backing device.
+    Each page is fixed once, in physical order, and decoded whole;
+    buffer misses become sequential read transfers on the backing
+    device.
     """
 
     def __init__(self, ctx: ExecContext, stored: StoredRelation) -> None:
@@ -32,7 +33,7 @@ class StoredRelationScan(QueryIterator):
         self._rows: Iterator[Row] | None = None
 
     def _open(self) -> None:
-        self._rows = (row for _rid, row in self.stored.scan_rows())
+        self._rows = self.stored.scan_tuples()
 
     def _next(self) -> Optional[Row]:
         assert self._rows is not None

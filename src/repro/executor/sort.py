@@ -245,8 +245,7 @@ class ExternalSort(QueryIterator):
             tracer.observe("repro_sort_run_length_rows", len(rows))
 
     def _run_rows(self, run: HeapFile) -> Iterator[Row]:
-        decode = self._codec.decode
-        return (decode(record) for _rid, record in run.scan())
+        return run.scan_tuples(self._codec)
 
     def _merge_streams(self, streams: list[Iterator[Row]]) -> Iterator[Row]:
         """K-way merge with collapse, charging log2(k) Comp per pop."""
@@ -292,8 +291,12 @@ class ExternalSort(QueryIterator):
                 # Register before writing: a faulted append must leave the
                 # partial output run reachable for cleanup below.
                 next_runs.append(out)
-                encode = self._codec.encode
-                out.append_many(encode(row) for row in merged)
+                # Record at a time: pulling a merged row fixes input
+                # run pages, and batching the output would change the
+                # order pages are fixed in, so the pool's evictions.
+                encode, append = self._codec.encode, out.append
+                for row in merged:
+                    append(encode(row))
                 for run in group:
                     run.destroy()
         except BaseException:

@@ -201,8 +201,7 @@ def evaluate(node: LogicalNode) -> Iterator[Row]:
     if isinstance(node, StoredSourceNode):
         # The one node whose evaluation is *not* free: rows come off
         # the device through the buffer pool (metered, fault-exposed).
-        for _rid, row in node.stored.scan_rows():
-            yield row
+        yield from node.stored.scan_tuples()
         return
     if isinstance(node, FilterNode):
         test = node.predicate.compile(node.schema)

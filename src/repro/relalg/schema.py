@@ -232,6 +232,20 @@ class RecordCodec:
         values = self._struct.unpack(record)
         if not self._string_positions:
             return values
+        return self._strip_strings(values)
+
+    def decode_page(self, page) -> list[tuple]:
+        """Decode every live record of a slotted page, in slot order.
+
+        ``page`` is a :class:`~repro.storage.page.SlottedPage`; the
+        tuples equal :meth:`decode` of each record.
+        """
+        rows = page.unpack_records(self._struct)
+        if not self._string_positions:
+            return rows
+        return [self._strip_strings(values) for values in rows]
+
+    def _strip_strings(self, values: tuple) -> tuple:
         out = list(values)
         for position in self._string_positions:
             out[position] = out[position].rstrip(b"\x00").decode("utf-8")

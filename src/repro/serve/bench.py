@@ -309,9 +309,7 @@ def run_load(
         if config.track_oracle:
             for dividend_name, divisor_name, _ in pairs:
                 for name in (dividend_name, divisor_name):
-                    shadow_rows[name] = [
-                        row for _, row in catalog.get(name).scan_rows()
-                    ]
+                    shadow_rows[name] = list(catalog.get(name).scan_tuples())
 
         injector = None
         if config.fault_rules:

@@ -192,6 +192,12 @@ class BufferPool:
         """Bytes of pool memory currently holding page frames."""
         return self._bytes_in_use
 
+    @property
+    def over_target(self) -> bool:
+        """True when the pool has grown past its configured buffer size,
+        so the next unfix shrinks it (evicting unfixed frames)."""
+        return self._bytes_in_use > self.config.buffer_size
+
     def fixed_page_count(self) -> int:
         """Frames with a non-zero fix count."""
         return sum(1 for f in self._frames.values() if f.fix_count > 0)

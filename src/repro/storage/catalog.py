@@ -57,15 +57,17 @@ class StoredRelation:
         return self.file.page_count
 
     def scan_rows(self) -> Iterator[tuple[RecordId, Row]]:
-        """Sequential scan decoding each record into a tuple."""
+        """Sequential scan decoding each record into a tuple, with its id."""
         for rid, record in self.file.scan():
             yield rid, self.codec.decode(record)
 
+    def scan_tuples(self) -> Iterator[Row]:
+        """Sequential scan of the tuples, decoded a page at a time."""
+        return self.file.scan_tuples(self.codec)
+
     def to_relation(self) -> Relation:
         """Materialize the stored tuples back into a Relation."""
-        return Relation(
-            self.schema, (row for _, row in self.scan_rows()), name=self.name
-        )
+        return Relation(self.schema, self.scan_tuples(), name=self.name)
 
 
 class Catalog:
@@ -147,7 +149,8 @@ class Catalog:
         Returns the new version.  This (with :meth:`delete_rows`) is
         the *versioned* write path: writes that bypass the catalog and
         mutate the heap file directly do not participate in the serve
-        layer's cache-invalidation contract.
+        layer's cache-invalidation contract.  Rows are written a page
+        at a time (:meth:`HeapFile.append_many`).
 
         The version is bumped **even when the write fails** (a device
         fault mid-append may have applied a prefix of the rows): a

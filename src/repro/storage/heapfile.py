@@ -10,17 +10,25 @@ read-ahead of physically clustered or contiguous files" (Section 3.3).
 Records are addressed by :class:`RecordId` (page number, slot).  All
 page access goes through the buffer pool; a scan fixes one page at a
 time and hands out record bytes.
+
+Writers and readers that need no record ids work a page at a time:
+:meth:`HeapFile.append_many` fixes the last page once per batch of
+records that fit on it, and :meth:`HeapFile.scan_tuples` decodes a
+whole page while it is fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.errors import PageError, RecordNotFoundError, StorageError
+from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import SlottedPage
+from repro.storage.page import SLOT_SIZE, SlottedPage
+
+if TYPE_CHECKING:
+    from repro.relalg.schema import RecordCodec
 
 #: Pages allocated per extent.  Eight pages balances contiguity against
 #: space waste for the paper's small divisor files.
@@ -62,7 +70,11 @@ class HeapFile:
         self.name = name
         self.extent_pages = extent_pages
         self._pages: list[int] = []
+        self._page_set: set[int] = set()
         self._unused_extent_pages: list[int] = []
+        #: Free space of the last data page (SlottedPage.free_space);
+        #: only this file's appends change it.
+        self._tail_free = 0
         self._record_count = 0
         self._destroyed = False
 
@@ -92,42 +104,46 @@ class HeapFile:
         """Append one record, returning its identifier."""
         self._check_live()
         if self._pages:
-            last = self._pages[-1]
-            view = self.pool.fix(self.disk.name, last)
-            try:
-                page = SlottedPage(view)
-                if page.fits(len(record)):
-                    slot = page.insert(record)
-                    self.pool.unfix(self.disk.name, last, dirty=True)
-                    self._record_count += 1
-                    return RecordId(last, slot)
-            except PageError:
-                pass
-            self.pool.unfix(self.disk.name, last)
-        page_no = self._next_data_page()
-        # Track the page as data *before* touching it again: if the fix
-        # or insert below faults, destroy() must still find (and free)
-        # the page or it leaks on the device.
-        self._pages.append(page_no)
-        view = self.pool.fix(self.disk.name, page_no)
-        page = SlottedPage.format(view)
-        slot = page.insert(record)
-        self.pool.unfix(self.disk.name, page_no, dirty=True)
-        self._record_count += 1
-        return RecordId(page_no, slot)
+            if len(record) <= self._tail_free:
+                return RecordId(self._pages[-1], self._fill_tail([record]))
+            # Too large for the last page, which is still fixed once (a
+            # cold page is read back), as append_many does.
+            self._fill_tail([])
+        self._start_page()
+        return RecordId(self._pages[-1], self._fill_tail([record]))
 
     def append_many(self, records: Iterable[bytes]) -> int:
-        """Append several records; returns how many were written."""
+        """Append several records a page at a time; returns how many.
+
+        Pulls the records that fit the last page, then fixes that page
+        once for all of them; the first record that does not fit starts
+        a new page.  Pages, buffer-pool misses, evictions and physical
+        I/O are those of calling :meth:`append` per record, as long as
+        pulling a record fixes no pages (rows already in memory).  A
+        source that reads pages as it goes should be appended per
+        record: batching it changes the LRU order of the pages.
+        """
+        self._check_live()
+        records = iter(records)
         count = 0
-        for record in records:
-            self.append(record)
-            count += 1
+        record = next(records, None)
+        if record is not None and self._pages:
+            batch, record = self._pull(record, records)
+            self._fill_tail(batch)
+            count += len(batch)
+        while record is not None:
+            self._start_page()
+            batch, record = self._pull(record, records)
+            # An empty batch means the record is too large for an empty
+            # page: inserting it alone raises the page's PageError.
+            self._fill_tail(batch or [record])
+            count += len(batch)
         return count
 
     def delete(self, rid: RecordId) -> None:
         """Delete the record at ``rid`` (tombstoned, space not reused)."""
         self._check_live()
-        if rid.page_no not in set(self._pages):
+        if rid.page_no not in self._page_set:
             raise RecordNotFoundError(f"{rid!r} is not a page of file {self.name!r}")
         view = self.pool.fix(self.disk.name, rid.page_no)
         try:
@@ -164,6 +180,23 @@ class HeapFile:
             for slot, record in records:
                 yield RecordId(page_no, slot), record
 
+    def scan_tuples(self, codec: RecordCodec) -> Iterator[tuple]:
+        """Sequential scan yielding decoded tuples, without record ids.
+
+        Fixes and unfixes each page exactly as :meth:`scan` does, but
+        decodes the whole page while it is fixed
+        (:meth:`~repro.relalg.schema.RecordCodec.decode_page`).
+        """
+        self._check_live()
+        device, pool, decode_page = self.disk.name, self.pool, codec.decode_page
+        for page_no in self._pages:
+            view = pool.fix(device, page_no)
+            try:
+                rows = decode_page(SlottedPage(view))
+            finally:
+                pool.unfix(device, page_no)
+            yield from rows
+
     # -- lifecycle --------------------------------------------------------------
 
     def flush(self) -> None:
@@ -191,15 +224,19 @@ class HeapFile:
             self.pool.forget_page(self.disk.name, page_no)
             self.disk.free_page(page_no)
         self._pages.clear()
+        self._page_set.clear()
         self._unused_extent_pages.clear()
         self._record_count = 0
         self._destroyed = True
 
     # -- internals ----------------------------------------------------------------
 
-    def _next_data_page(self) -> int:
-        """Take the next page of the current extent, or allocate a new
-        extent; the page is zero-filled and must be formatted."""
+    def _start_page(self) -> None:
+        """Make a fresh, formatted page the last data page.
+
+        Takes the next page of the current extent, or allocates a new
+        extent.
+        """
         if not self._unused_extent_pages:
             self._unused_extent_pages = self.disk.allocate_extent(self.extent_pages)
             # File attribution for page-level I/O tracing: register the
@@ -218,9 +255,63 @@ class HeapFile:
         # Install a zeroed frame for the fresh page so formatting does
         # not require reading garbage from disk.
         view = self.pool.fix_new(self.disk.name, page_no)
+        free = SlottedPage.format(view).free_space
         self.pool.unfix(self.disk.name, page_no, dirty=True)
         self._unused_extent_pages.pop(0)
-        return page_no
+        self._pages.append(page_no)
+        self._page_set.add(page_no)
+        self._tail_free = free
+
+    def _pull(self, record: bytes, records: Iterator[bytes]) -> tuple[list[bytes], bytes | None]:
+        """Pull ``record`` and its successors while they fit the last
+        page; returns them and the first record that does not fit
+        (``None`` once ``records`` is exhausted)."""
+        batch, free = [], self._tail_free
+        try:
+            while record is not None and (length := len(record)) <= free:
+                batch.append(record)
+                # What SlottedPage.free_space reads once the record is in.
+                free -= length + SLOT_SIZE
+                if free < 0:
+                    free = 0
+                record = next(records, None)
+        except BaseException:
+            # The source failed: keep what it yielded before, as
+            # appending record by record would have.
+            if batch:
+                self._fill_tail(batch)
+            raise
+        return batch, record
+
+    def _fill_tail(self, batch: list[bytes]) -> int:
+        """Insert ``batch`` into the last page under one fix; returns
+        the slot of the last record (the page's last slot).
+
+        A record the page refuses raises :class:`PageError`.  When the
+        fix grew the pool past its buffer size, the unfix that follows
+        evicts; record at a time, that unfix comes after the first
+        record, so the first record then gets a fix of its own and every
+        eviction happens with the page in the same state.
+        """
+        device, page_no = self.disk.name, self._pages[-1]
+        done = 0
+        while True:
+            view = self.pool.fix(device, page_no)
+            end = min(len(batch), done + 1) if self.pool.over_target else len(batch)
+            inserted = 0
+            try:
+                page = SlottedPage(view)
+                inserted = page.insert_many(batch[done:end])
+                self._record_count += inserted
+                self._tail_free = page.free_space
+                last_slot = page.slot_count - 1
+                if done + inserted < end:
+                    page.insert(batch[done + inserted])  # raises insert's PageError
+            finally:
+                self.pool.unfix(device, page_no, dirty=inserted > 0)
+            done = end
+            if done == len(batch):
+                return last_slot
 
     def _check_live(self) -> None:
         if self._destroyed:

@@ -13,6 +13,12 @@ Header: ``slot_count`` (u16) and ``free_offset`` (u16, start of free
 space).  Each slot directory entry holds the record's ``offset`` and
 ``length`` (u16 each); a deleted slot has offset ``0xFFFF``.
 
+Besides the per-record accessors, a page works a batch at a time:
+:meth:`SlottedPage.insert_many` writes several records and the header
+once, and :meth:`SlottedPage.unpack_records` decodes every live record,
+with one ``iter_unpack`` when the slot directory shows the dense layout
+of sequential inserts.
+
 The page operates directly on a caller-supplied ``bytearray`` -- in
 practice a buffer-pool frame -- so record accessors hand out
 ``memoryview`` slices of buffer memory without copying, matching the
@@ -23,7 +29,8 @@ addresses to records fixed in the buffer pool" (Section 5.1).
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from repro.errors import PageError, RecordNotFoundError
 
@@ -33,6 +40,19 @@ _TOMBSTONE = 0xFFFF
 
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
+
+
+@lru_cache(maxsize=256)
+def _dense_directory(slot_count: int, record_size: int) -> bytes:
+    """The slot directory sequential inserts of ``slot_count`` records of
+    ``record_size`` bytes produce: back to back from the header, none
+    deleted.  The directory grows downward, so the last slot's entry
+    comes first.  (Bytes, not a tuple of ints: a cached tuple's int
+    objects pin allocator arenas and raised peak RSS.)"""
+    entries = []
+    for slot in reversed(range(slot_count)):
+        entries += (HEADER_SIZE + slot * record_size, record_size)
+    return struct.pack(f"<{2 * slot_count}H", *entries)
 
 
 class SlottedPage:
@@ -124,12 +144,40 @@ class SlottedPage:
             raise PageError(
                 f"record of {length} bytes does not fit ({self.free_space} free)"
             )
-        slot_count, free_offset = _HEADER.unpack_from(self._buf, 0)
-        slot = slot_count
-        self._buf[free_offset : free_offset + length] = record
-        _SLOT.pack_into(self._buf, self._slot_position(slot), free_offset, length)
-        self._set_header(slot_count + 1, free_offset + length)
-        return slot
+        self.insert_many((record,))
+        return self.slot_count - 1
+
+    def insert_many(self, records: Sequence[bytes]) -> int:
+        """Insert ``records`` in order; returns how many were inserted.
+
+        Each record gets the checks :meth:`insert` makes; the first one
+        :meth:`insert` would refuse ends the batch (nothing after it is
+        inserted) instead of raising.  The records are copied in with
+        one slice assignment and their directory entries with one pack,
+        and the header is written once.
+        """
+        buf = self._buf
+        slot_count, free_offset = _HEADER.unpack_from(buf, 0)
+        start = free_offset
+        directory = self.page_size - slot_count * SLOT_SIZE
+        entries: list[int] = []  # (length, offset) pairs in slot order
+        for record in records:
+            length = len(record)
+            free = directory - free_offset - SLOT_SIZE
+            if length >= _TOMBSTONE or length > (free if free > 0 else 0):
+                break
+            directory -= SLOT_SIZE
+            entries.append(length)
+            entries.append(free_offset)
+            free_offset += length
+        inserted = len(entries) // 2
+        if inserted:
+            buf[start:free_offset] = b"".join(records[:inserted])
+            # The directory grows downward: the newest slot comes first.
+            entries.reverse()
+            struct.pack_into(f"<{len(entries)}H", buf, directory, *entries)
+            self._set_header(slot_count + inserted, free_offset)
+        return inserted
 
     def get(self, slot: int) -> memoryview:
         """Zero-copy view of the record in ``slot``.
@@ -155,6 +203,30 @@ class SlottedPage:
             offset, length = self._read_slot(slot)
             if offset != _TOMBSTONE:
                 yield slot, self._buf[offset : offset + length]
+
+    def unpack_records(self, record: struct.Struct) -> list[tuple]:
+        """Unpack every live record with ``record``, in slot order.
+
+        When the slot directory is byte for byte the dense layout that
+        sequential inserts of ``record.size``-byte records produce, the
+        record area is decoded with one ``iter_unpack``.  Any other page
+        (tombstones, other lengths) is decoded slot by slot from one
+        ``unpack_from`` of the directory.  Either way the values equal
+        ``record.unpack`` of each :meth:`records` view.
+        """
+        buf = self._buf
+        slot_count = _HEADER.unpack_from(buf, 0)[0]
+        directory = self.page_size - slot_count * SLOT_SIZE
+        if bytes(buf[directory : self.page_size]) == _dense_directory(slot_count, record.size):
+            area = buf[HEADER_SIZE : HEADER_SIZE + slot_count * record.size]
+            return list(record.iter_unpack(area))
+        entries = struct.unpack_from(f"<{2 * slot_count}H", buf, directory)
+        unpack = record.unpack
+        return [
+            unpack(buf[entries[i] : entries[i] + entries[i + 1]])
+            for i in range(len(entries) - 2, -1, -2)
+            if entries[i] != _TOMBSTONE
+        ]
 
     def __repr__(self) -> str:
         return (

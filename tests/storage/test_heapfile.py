@@ -88,6 +88,35 @@ class TestDelete:
         with pytest.raises(RecordNotFoundError):
             file.delete(RecordId(999, 0))
 
+    def test_delete_rejects_a_page_of_another_file(self):
+        file, pool, disk = make_file()
+        file.append(b"x")
+        other = HeapFile(pool, disk, name="g", extent_pages=2)
+        foreign = other.append(b"y")
+        with pytest.raises(RecordNotFoundError):
+            file.delete(foreign)
+        assert other.get(foreign) == b"y"
+
+    def test_multi_page_delete(self):
+        file, _, _ = make_file(page_size=64, buffer_pages=2)
+        rids = [file.append(bytes([i]) * 16) for i in range(40)]
+        assert file.page_count > 10
+
+        class CountingList(list):
+            walks = 0
+
+            def __iter__(self):
+                CountingList.walks += 1
+                return super().__iter__()
+
+        # Membership is a set lookup: deleting never walks the page list.
+        file._pages = CountingList(file._pages)
+        for rid in rids[::2]:
+            file.delete(rid)
+        assert CountingList.walks == 0
+        assert file.record_count == 20
+        assert [record for _, record in file.scan()] == [bytes([i]) * 16 for i in range(1, 40, 2)]
+
     def test_delete_then_get_rejected(self):
         file, _, _ = make_file()
         rid = file.append(b"x")
