@@ -33,7 +33,6 @@ from repro.core.partitioned import (
 )
 from repro.core.divide import (
     ALGORITHMS,
-    advisor_dispatch,
     divide,
     divide_with_advisor,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "hash_division_with_overflow",
     "divide",
     "divide_with_advisor",
-    "advisor_dispatch",
     "ALGORITHMS",
     "DivisionTrace",
     "TraceEvent",

@@ -90,43 +90,6 @@ def _resolve(algorithm: str, divisor: Relation) -> str:
     return algorithm
 
 
-#: Maps the cost advisor's strategy names onto divide() invocations.
-#: Private storage -- read it through :func:`advisor_dispatch`.
-_ADVISOR_DISPATCH: dict[str, tuple[str, dict]] = {
-    "hash-division": ("hash", {}),
-    "naive": ("naive", {}),
-    "sort-agg no join": ("sort-aggregate", {"with_join": False}),
-    "sort-agg with join": ("sort-aggregate", {"with_join": True}),
-    "hash-agg no join": ("hash-aggregate", {"with_join": False}),
-    "hash-agg with join": ("hash-aggregate", {"with_join": True}),
-}
-
-
-def advisor_dispatch(strategy: str | None = None):
-    """Public accessor for the advisor-strategy -> divide() registry.
-
-    Args:
-        strategy: An advisor strategy name (e.g. ``"sort-agg with
-            join"``).  When given, returns its ``(algorithm, options)``
-            pair -- ``options`` is a fresh dict, safe to mutate.  When
-            omitted, returns a copy of the whole registry.
-
-    Raises:
-        DivisionError: for an unknown strategy name.
-    """
-    if strategy is None:
-        return {name: (algo, dict(opts)) for name, (algo, opts) in
-                _ADVISOR_DISPATCH.items()}
-    try:
-        algorithm, options = _ADVISOR_DISPATCH[strategy]
-    except KeyError:
-        raise DivisionError(
-            f"unknown advisor strategy {strategy!r}; "
-            f"expected one of {sorted(_ADVISOR_DISPATCH)}"
-        ) from None
-    return algorithm, dict(options)
-
-
 def divide_with_advisor(
     dividend: Relation,
     divisor: Relation,
@@ -134,32 +97,18 @@ def divide_with_advisor(
     ctx: ExecContext | None = None,
     name: str = "quotient",
 ) -> tuple[Relation, str]:
-    """Divide using the cost advisor's pick; returns (quotient, strategy).
+    """Divide using the planner's pick; returns (quotient, strategy).
 
-    Feeds the *actual* input statistics (cardinalities, duplicate
-    presence) to :func:`repro.costmodel.advisor.choose_strategy` and
-    runs the winner.  ``divisor_restricted`` must be set when the
-    divisor is a selection result whose values may miss some dividend
-    tuples -- the advisor then refuses the no-join counting strategies
-    (Section 2.2's correctness requirement).
+    Compiles the division through :func:`repro.plan.planner.compile_plan`,
+    so the cost advisor sees the planner's exact input statistics,
+    including its Section 2.2 coverage check.  ``divisor_restricted``
+    must be set when the divisor is a selection result whose values may
+    miss some dividend tuples -- the advisor then refuses the no-join
+    counting strategies (Section 2.2's correctness requirement).
     """
-    from repro.costmodel.advisor import DivisionEstimates, choose_strategy
+    from repro.plan.logical import DivideNode, SourceNode
+    from repro.plan.planner import compile_plan
 
-    quotient_names, _ = division_attribute_split(dividend, divisor)
-    estimates = DivisionEstimates(
-        dividend_tuples=len(dividend),
-        divisor_tuples=len(set(divisor.rows)),
-        quotient_tuples=len({tuple(row[i] for i in
-                             dividend.schema.positions_of(quotient_names))
-                             for row in dividend}),
-        divisor_restricted=divisor_restricted,
-        may_contain_duplicates=dividend.has_duplicates() or divisor.has_duplicates(),
-    )
-    picked = choose_strategy(estimates)
-    algorithm, options = advisor_dispatch(picked.strategy)
-    if algorithm in ("sort-aggregate", "hash-aggregate"):
-        options["eliminate_duplicates"] = estimates.may_contain_duplicates
-    quotient = divide(
-        dividend, divisor, algorithm=algorithm, ctx=ctx, name=name, **options
-    )
-    return quotient, picked.strategy
+    node = DivideNode(SourceNode(dividend), SourceNode(divisor), divisor_restricted)
+    plan = compile_plan(node, ctx)
+    return plan.execute(name=name), plan.decisions[0].strategy

@@ -9,7 +9,8 @@ chooses the physical algorithm.  The layering is::
         |  logical_plan()
         v
     repro.plan.logical    (Source / Filter / Project / Distinct / Divide)
-        |  Planner.compile()  -- cost advisor consulted at plan time
+        |  Planner.compile()  -- decide_division() consults the cost
+        |                        advisor at plan time
         v
     repro.plan.physical   (QueryIterator trees over repro.executor /
         |                  repro.core operators; one streaming pipeline)
@@ -44,6 +45,7 @@ from repro.plan.planner import (
     Planner,
     collect_division_estimates,
     compile_plan,
+    decide_division,
 )
 
 __all__ = [
@@ -66,4 +68,5 @@ __all__ = [
     "DivisionDecision",
     "collect_division_estimates",
     "compile_plan",
+    "decide_division",
 ]

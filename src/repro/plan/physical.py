@@ -178,9 +178,16 @@ class PhysicalPlan:
         except HashTableOverflowError:
             if self.dividend_input is None or self.divisor_input is None:
                 raise
-            return self._overflow_fallback(name)
+            return self.overflow_fallback(name)
 
-    def _overflow_fallback(self, name: str) -> Relation:
+    def overflow_fallback(self, name: str) -> Relation:
+        """Run the plan as Section 3.4 partitioned hash-division.
+
+        Re-opens the plan's own dividend and divisor input subtrees, so
+        the caller must have closed :attr:`root` first.  Used by
+        :meth:`execute` and by :mod:`repro.serve`, which steps
+        :attr:`root` itself and degrades here on overflow.
+        """
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.count("repro_plan_overflow_fallback_total")

@@ -9,6 +9,10 @@ every semantically applicable strategy with the Section 4 cost
 formulas, and compile the winner into the physical operator tree.  The
 decision is recorded on the plan, so ``explain()`` shows not just the
 tree but *why* it is that tree.
+
+:func:`decide_division` is the only producer of
+:class:`DivisionDecision` records; ``ContainsQuery.plan()``,
+``divide_with_advisor`` and the serve plan cache all go through it.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ class DivisionDecision:
     def render(self) -> str:
         """Multi-line decision summary for plan display."""
         lines = [
-            f"Division strategy: {self.strategy!r}"
-            f"  (est. {self.choice.estimated_ms:,.0f} model ms)",
+            f"Division strategy: relational division via {self.strategy!r}"
+            f" (est. {self.choice.estimated_ms:,.0f} model ms)",
             f"  dividend: ~{self.estimates.dividend_tuples} tuples",
             f"  divisor:  ~{self.estimates.divisor_tuples} tuples"
             + (" (restricted)" if self.estimates.divisor_restricted else ""),
@@ -141,6 +145,32 @@ def collect_division_estimates(
     return estimates, quotient_names
 
 
+def decide_division(
+    node: DivideNode, units: CostUnits = PAPER_UNITS
+) -> DivisionDecision:
+    """Choose the division algorithm for one ``Divide`` node.
+
+    The only producer of :class:`DivisionDecision` records: runs the
+    exact statistics pass, prices every applicable strategy with the
+    advisor, and decides whether a counting strategy needs explicit
+    duplicate elimination (the paper's footnote 1).
+    """
+    estimates, quotient_names = collect_division_estimates(
+        node.dividend, node.divisor, node.divisor_restricted
+    )
+    choice = advise(estimates, units)
+    return DivisionDecision(
+        strategy=choice.strategy,
+        estimates=estimates,
+        quotient_names=quotient_names,
+        choice=choice,
+        eliminate_duplicates=(
+            estimates.may_contain_duplicates
+            and choice.strategy.startswith(("sort-agg", "hash-agg"))
+        ),
+    )
+
+
 class Planner:
     """Compiles logical plans into physical iterator trees.
 
@@ -167,37 +197,24 @@ class Planner:
         if isinstance(node, DistinctNode):
             return HashDistinct(self.compile(node.child))
         if isinstance(node, DivideNode):
-            return self._compile_division(node)
+            return self._compile_division(node, decide_division(node, self.units))
         raise ExecutionError(f"unplannable logical node {type(node).__name__}")
 
-    def _compile_division(self, node: DivideNode) -> QueryIterator:
-        estimates, quotient_names = collect_division_estimates(
-            node.dividend, node.divisor, node.divisor_restricted
-        )
-        choice = advise(estimates, self.units)
-        eliminate = (
-            estimates.may_contain_duplicates
-            if choice.strategy.startswith(("sort-agg", "hash-agg"))
-            else False
-        )
-        decision = DivisionDecision(
-            strategy=choice.strategy,
-            estimates=estimates,
-            quotient_names=quotient_names,
-            choice=choice,
-            eliminate_duplicates=eliminate,
-        )
+    def _compile_division(
+        self, node: DivideNode, decision: DivisionDecision
+    ) -> QueryIterator:
         self.decisions.append(decision)
         dividend_input = self.compile(node.dividend)
         divisor_input = self.compile(node.divisor)
         self._division_inputs = (dividend_input, divisor_input)
+        estimates = decision.estimates
         return build_division_operator(
-            choice.strategy,
+            decision.strategy,
             dividend_input,
             divisor_input,
             expected_divisor=estimates.divisor_tuples,
             expected_quotient=estimates.estimated_quotient,
-            eliminate_duplicates=eliminate,
+            eliminate_duplicates=decision.eliminate_duplicates,
             distinct_sorts=True,
         )
 
@@ -211,6 +228,7 @@ def compile_plan(
     node: LogicalNode,
     ctx: ExecContext | None = None,
     units: CostUnits = PAPER_UNITS,
+    decision: DivisionDecision | None = None,
 ) -> PhysicalPlan:
     """Compile a logical plan into an executable :class:`PhysicalPlan`.
 
@@ -219,10 +237,16 @@ def compile_plan(
         ctx: Execution context to compile against; a fresh unbudgeted
             context is created when omitted.
         units: Table 1 cost units the advisor prices strategies with.
+        decision: A decision already made for ``node`` (a ``Divide``
+            root), e.g. one reused from a plan cache; the statistics
+            pass and the advisor are then skipped.
     """
     ctx = ctx or ExecContext()
     planner = Planner(ctx, units=units)
-    root = planner.compile(node)
+    if decision is None:
+        root = planner.compile(node)
+    else:
+        root = planner._compile_division(node, decision)
     dividend_input, divisor_input = (None, None)
     if isinstance(node, DivideNode) and planner.division_inputs is not None:
         # The overflow fallback substitutes partitioned hash-division

@@ -40,9 +40,8 @@ is just another physical operator in the same tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.costmodel.advisor import DivisionEstimates
 from repro.executor.iterator import ExecContext
 from repro.obs.profile import QueryProfile, build_profile
 from repro.obs.span import Clock, Tracer
@@ -55,10 +54,9 @@ from repro.plan.logical import (
     SourceNode,
 )
 from repro.plan.physical import PhysicalPlan
-from repro.plan.planner import collect_division_estimates, compile_plan
+from repro.plan.planner import DivisionDecision, compile_plan, decide_division
 from repro.relalg.predicates import Predicate
 from repro.relalg.relation import Relation
-from repro.relalg.tuples import projector
 
 
 @dataclass(frozen=True)
@@ -234,28 +232,6 @@ class Query:
         return " . ".join(parts)
 
 
-@dataclass
-class ContainsPlan:
-    """The planner's decision for one ``contains`` evaluation."""
-
-    strategy: str
-    estimates: DivisionEstimates
-    quotient_names: tuple[str, ...] = field(default_factory=tuple)
-
-    def render(self) -> str:
-        lines = [
-            f"ForAll (contains) -> relational division via {self.strategy!r}",
-            f"  dividend: ~{self.estimates.dividend_tuples} tuples",
-            f"  divisor:  ~{self.estimates.divisor_tuples} tuples"
-            + (" (restricted)" if self.estimates.divisor_restricted else ""),
-            f"  quotient: {', '.join(self.quotient_names)}"
-            f" (~{self.estimates.estimated_quotient} tuples)",
-        ]
-        if self.estimates.may_contain_duplicates:
-            lines.append("  duplicates possible: counting needs preprocessing")
-        return "\n".join(lines)
-
-
 class ContainsQuery:
     """A planned universal quantification: dividend ``contains`` divisor."""
 
@@ -284,60 +260,13 @@ class ContainsQuery:
         """
         return compile_plan(self.logical_plan(), ctx)
 
-    def plan(
-        self,
-        dividend_relation: Relation | None = None,
-        divisor_relation: Relation | None = None,
-    ) -> ContainsPlan:
-        """Pick the division strategy from the (planned) inputs.
+    def plan(self) -> DivisionDecision:
+        """Pick the division strategy without compiling the plan.
 
-        Without arguments, the statistics come from the planner's
-        zero-cost streaming pass over the logical plans; passing
-        already-evaluated relations reuses them instead.
+        The statistics come from the planner's zero-cost streaming pass
+        over the logical plans.
         """
-        from repro.costmodel.advisor import choose_strategy
-        from repro.relalg import algebra
-
-        if dividend_relation is None and divisor_relation is None:
-            node = self.logical_plan()
-            estimates, quotient_names = collect_division_estimates(
-                node.dividend, node.divisor, node.divisor_restricted
-            )
-            return ContainsPlan(
-                strategy=choose_strategy(estimates).strategy,
-                estimates=estimates,
-                quotient_names=quotient_names,
-            )
-        dividend_relation = (
-            dividend_relation if dividend_relation is not None else self.dividend.run()
-        )
-        divisor_relation = (
-            divisor_relation if divisor_relation is not None else self.divisor.run()
-        )
-        quotient_names, divisor_names = algebra.division_attribute_split(
-            dividend_relation, divisor_relation
-        )
-        quotient_of = projector(dividend_relation.schema, quotient_names)
-        divisor_of = projector(dividend_relation.schema, divisor_names)
-        divisor_values = {tuple(row) for row in divisor_relation}
-        covered = {
-            divisor_of(row) for row in dividend_relation
-        } <= divisor_values
-        estimates = DivisionEstimates(
-            dividend_tuples=len(dividend_relation),
-            divisor_tuples=len(divisor_values),
-            quotient_tuples=len({quotient_of(row) for row in dividend_relation}),
-            divisor_restricted=self.divisor.is_restricted or not covered,
-            may_contain_duplicates=(
-                dividend_relation.has_duplicates()
-                or divisor_relation.has_duplicates()
-            ),
-        )
-        return ContainsPlan(
-            strategy=choose_strategy(estimates).strategy,
-            estimates=estimates,
-            quotient_names=quotient_names,
-        )
+        return decide_division(self.logical_plan())
 
     # -- execution -----------------------------------------------------
 
@@ -381,13 +310,12 @@ class ContainsQuery:
 
     def explain(self) -> str:
         """The textual plan: pipelines, the decision, the operator tree."""
-        plan = self.plan()
         physical = self.compile()
         return "\n".join(
             [
                 f"dividend: {self.dividend.describe()}",
                 f"divisor:  {self.divisor.describe()}",
-                plan.render(),
+                physical.decisions[0].render(),
                 "physical plan:",
                 physical.root.explain(indent=1),
             ]

@@ -23,7 +23,6 @@ from repro.serve.admission import (
     estimate_grant_bytes,
 )
 from repro.serve.cache import (
-    CachedDecision,
     CachedResult,
     CacheStats,
     VersionedCache,
@@ -52,7 +51,6 @@ __all__ = [
     "AdmissionController",
     "MemoryGrant",
     "estimate_grant_bytes",
-    "CachedDecision",
     "CachedResult",
     "CacheStats",
     "VersionedCache",

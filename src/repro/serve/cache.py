@@ -4,10 +4,12 @@ The rank-aware-division literature (PAPERS.md) motivates the serving
 pattern this module exploits: the same parameterized division is asked
 again and again over slowly-changing relations.  Two caches:
 
-* the **plan cache** memoizes the expensive part of planning -- the
-  exact statistics pass (:func:`repro.plan.planner.collect_division_estimates`
-  *reads both inputs*, paying metered I/O) and the advisor decision --
-  keyed by the normalized logical-plan key,
+* the **plan cache** memoizes the expensive part of planning: the
+  :class:`~repro.plan.planner.DivisionDecision` made by
+  :func:`repro.plan.planner.decide_division`, whose exact statistics
+  pass *reads both inputs*, paying metered I/O.  It is keyed by the
+  normalized logical-plan key, and a hit is handed straight to
+  ``compile_plan(node, ctx, decision=...)``,
 * the **result cache** memoizes whole quotients, keyed by the plan key
   *plus the input relations' versions*.
 
@@ -191,19 +193,6 @@ class VersionedCache:
     def clear(self) -> None:
         """Drop every entry (stats survive)."""
         self._entries.clear()
-
-
-@dataclass
-class CachedDecision:
-    """The plan cache's payload: one advisor decision, reusable without
-    re-running the statistics pass.  Mirrors the fields
-    :func:`repro.plan.physical.build_division_operator` needs."""
-
-    strategy: str
-    estimates: object  # DivisionEstimates (kept opaque: no costmodel import)
-    quotient_names: tuple[str, ...]
-    eliminate_duplicates: bool
-    choice: object = None  # full AdvisorChoice, for explain parity
 
 
 @dataclass

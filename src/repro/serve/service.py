@@ -34,11 +34,9 @@ The service allocates nothing on the single-query path: it is a layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Generator, Iterable, Sequence
 
-from repro.costmodel.advisor import advise
-from repro.costmodel.units import PAPER_UNITS
 from repro.errors import (
     HashTableOverflowError,
     QueryCancelledError,
@@ -47,22 +45,14 @@ from repro.errors import (
     ServeError,
     ServiceOverloadError,
 )
-from repro.core.partitioned import hash_division_with_overflow
 from repro.executor.iterator import ExecContext
-from repro.executor.scan import StoredRelationScan
 from repro.obs.metrics import MetricsRegistry
 from repro.plan.logical import DivideNode, StoredSourceNode
-from repro.plan.physical import build_division_operator
-from repro.plan.planner import collect_division_estimates
+from repro.plan.planner import DivisionDecision, compile_plan, decide_division
 from repro.relalg.algebra import divide_set_semantics
 from repro.relalg.relation import Relation
 from repro.serve.admission import AdmissionController, estimate_grant_bytes
-from repro.serve.cache import (
-    CachedDecision,
-    CachedResult,
-    VersionedCache,
-    plan_key,
-)
+from repro.serve.cache import CachedResult, VersionedCache, plan_key
 from repro.serve.scheduler import (
     CooperativeScheduler,
     Task,
@@ -534,10 +524,9 @@ class QueryService:
         try:
             while not self.locks.try_acquire(lock):
                 yield Wait("lock", lambda: self.locks.can_grant(lock))
-            stored_dividend = self.catalog.get(dividend_name)
-            stored_divisor = self.catalog.get(divisor_name)
             node = DivideNode(
-                StoredSourceNode(stored_dividend), StoredSourceNode(stored_divisor)
+                StoredSourceNode(self.catalog.get(dividend_name)),
+                StoredSourceNode(self.catalog.get(divisor_name)),
             )
             key = plan_key(node)
             versions = self.catalog.versions_of(names)
@@ -570,22 +559,7 @@ class QueryService:
             rec.plan_cached = decision is not None
             if decision is None:
                 io_before = self.ctx.io_cost_ms()
-                estimates, quotient_names = collect_division_estimates(
-                    node.dividend, node.divisor, node.divisor_restricted
-                )
-                choice = advise(estimates, PAPER_UNITS)
-                eliminate = (
-                    estimates.may_contain_duplicates
-                    if choice.strategy.startswith(("sort-agg", "hash-agg"))
-                    else False
-                )
-                decision = CachedDecision(
-                    strategy=choice.strategy,
-                    estimates=estimates,
-                    quotient_names=quotient_names,
-                    eliminate_duplicates=eliminate,
-                    choice=choice,
-                )
+                decision = decide_division(node)
                 if self.plan_cache is not None:
                     self.plan_cache.put(key, versions, decision)
                 yield self.ctx.io_cost_ms() - io_before
@@ -597,9 +571,7 @@ class QueryService:
                 estimate_grant_bytes(decision.estimates), tag=rec.client
             )
 
-            rows = yield from self._execute_division(
-                rec, decision, stored_dividend, stored_divisor
-            )
+            rows = yield from self._execute_division(rec, node, decision)
             result = ServeResult(
                 rows=tuple(rows),
                 strategy=decision.strategy,
@@ -629,8 +601,7 @@ class QueryService:
             self.locks.release(lock)
 
     def _execute_division(
-        self, rec: RequestOutcome, decision: CachedDecision, stored_dividend,
-        stored_divisor,
+        self, rec: RequestOutcome, node: DivideNode, decision: DivisionDecision
     ) -> Generator:
         """Cooperatively step the compiled operator tree (generator).
 
@@ -638,19 +609,11 @@ class QueryService:
         virtual cost.  Stop-and-go phases (sorts, hash build inside
         ``open()``) complete within one step; the streaming probe phase
         yields every ``rows_per_step`` tuples.  Hash-table overflow
-        degrades to the Section 3.4 partitioned driver.
+        degrades to the plan's Section 3.4 partitioned fallback.
         """
         ctx = self.ctx
-        estimates = decision.estimates
-        root = build_division_operator(
-            decision.strategy,
-            StoredRelationScan(ctx, stored_dividend),
-            StoredRelationScan(ctx, stored_divisor),
-            expected_divisor=estimates.divisor_tuples,
-            expected_quotient=estimates.estimated_quotient,
-            eliminate_duplicates=decision.eliminate_duplicates,
-            distinct_sorts=True,
-        )
+        plan = compile_plan(node, ctx, decision=decision)
+        root = plan.root
         rows: list = []
         try:
             try:
@@ -673,33 +636,12 @@ class QueryService:
                 rec.fell_back = True
                 self.metrics.counter("repro_serve_overflow_fallbacks_total").inc()
                 root.close()
-                rows = yield from self._partitioned_fallback(
-                    decision, stored_dividend, stored_divisor
-                )
+                io_before = ctx.io_cost_ms()
+                rows = list(plan.overflow_fallback("quotient").rows)
+                yield ctx.io_cost_ms() - io_before
             return rows
         finally:
             root.close()  # idempotent: safe after the overflow path
-
-    def _partitioned_fallback(
-        self, decision: CachedDecision, stored_dividend, stored_divisor
-    ) -> Generator:
-        ctx = self.ctx
-        estimates = decision.estimates
-        strategy = "quotient"
-        if (
-            estimates.divisor_tuples > 0
-            and estimates.divisor_tuples > estimates.estimated_quotient
-        ):
-            strategy = "divisor"
-        io_before = ctx.io_cost_ms()
-        relation = hash_division_with_overflow(
-            lambda: StoredRelationScan(ctx, stored_dividend),
-            lambda: StoredRelationScan(ctx, stored_divisor),
-            strategy=strategy,
-            name="quotient",
-        )
-        yield ctx.io_cost_ms() - io_before
-        return list(relation.rows)
 
     def _check_oracle(
         self, rec: RequestOutcome, rows: tuple, oracle: frozenset | None

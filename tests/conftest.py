@@ -44,3 +44,24 @@ def courses() -> Relation:
 def expected_quotient() -> set:
     """Who took all courses: students 1 and 4."""
     return {(1,), (4,)}
+
+
+@pytest.fixture
+def statistics_passes(monkeypatch) -> list:
+    """Count planner statistics passes.
+
+    Replaces ``collect_division_estimates`` in ``repro.plan.planner``,
+    the one module that calls it, with a counting wrapper; the returned
+    list gets one entry per call.
+    """
+    from repro.plan import planner
+
+    calls: list = []
+    original = planner.collect_division_estimates
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "collect_division_estimates", counting)
+    return calls

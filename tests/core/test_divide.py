@@ -4,7 +4,7 @@ import pytest
 
 from repro import divide
 from repro.errors import DivisionError
-from repro.core.divide import ALGORITHMS, advisor_dispatch
+from repro.core.divide import ALGORITHMS
 from repro.executor.iterator import ExecContext
 from repro.relalg.relation import Relation
 
@@ -60,26 +60,25 @@ class TestDispatch:
         assert set(result.rows) == expected_quotient
 
 
-class TestAdvisorDispatch:
-    """The public registry accessor (the old private-dict import path)."""
+class TestAdvisorPath:
+    """``divide_with_advisor`` runs the planner's decision, not its own."""
 
-    def test_lookup_returns_algorithm_and_fresh_options(self):
-        algorithm, options = advisor_dispatch("sort-agg with join")
-        assert algorithm == "sort-aggregate"
-        assert options == {"with_join": True}
-        options["with_join"] = False  # mutating the copy is safe
-        assert advisor_dispatch("sort-agg with join")[1] == {"with_join": True}
+    def test_strategy_is_the_planners_decision(self, inputs, expected_quotient):
+        from repro.core.divide import divide_with_advisor
+        from repro.plan.logical import DivideNode, SourceNode
+        from repro.plan.planner import decide_division
 
-    def test_full_registry_copy(self):
-        registry = advisor_dispatch()
-        assert "hash-division" in registry
-        registry.pop("hash-division")
-        assert "hash-division" in advisor_dispatch()  # original intact
+        dividend, divisor = inputs
+        quotient, strategy = divide_with_advisor(dividend, divisor, name="winners")
+        node = DivideNode(SourceNode(dividend), SourceNode(divisor))
+        assert strategy == decide_division(node).strategy
+        assert set(quotient.rows) == expected_quotient
+        assert quotient.name == "winners"
 
-    def test_every_entry_names_a_registered_algorithm(self):
-        for strategy, (algorithm, _options) in advisor_dispatch().items():
-            assert algorithm in ALGORITHMS, strategy
+    def test_ctx_threads_through(self, inputs):
+        from repro.core.divide import divide_with_advisor
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(DivisionError):
-            advisor_dispatch("quantum")
+        dividend, divisor = inputs
+        ctx = ExecContext()
+        divide_with_advisor(dividend, divisor, ctx=ctx)
+        assert ctx.cpu.hashes > 0

@@ -111,6 +111,19 @@ class TestDivideWithAdvisor:
         # The advisor never picks a no-join counting strategy here.
         assert "no join" not in strategy
 
+    def test_uncovered_divisor_detected_without_flag(self):
+        # The dividend holds a divisor value (99) the divisor lacks, so
+        # the no-join counting strategies would count it; the planner's
+        # coverage check must refuse them even though nobody flagged
+        # the divisor as restricted.
+        dividend = Relation.of_ints(
+            ("q", "d"), [(1, 5), (1, 6), (2, 5), (2, 99)]
+        )
+        divisor = Relation.of_ints(("d",), [(5,), (6,)])
+        quotient, strategy = divide_with_advisor(dividend, divisor)
+        assert quotient.set_equal(algebra.divide_set_semantics(dividend, divisor))
+        assert "no join" not in strategy
+
     def test_empty_divisor(self, inputs):
         dividend, _ = inputs
         empty = Relation.of_ints(("d",), [])
@@ -128,14 +141,15 @@ class TestAdvisorProperty:
         from repro.relalg import algebra
 
         rng = random.Random(31)
-        for restricted in (False, True):
+        # (divisor_restricted flag, dividend has non-divisor tuples)
+        for restricted, stray in ((False, False), (False, True), (True, True)):
             for _ in range(10):
                 ns, nq = rng.randint(1, 10), rng.randint(1, 12)
                 dv = rng.sample(range(1000), ns)
                 rows = []
                 for q in range(nq):
                     rows += [(q, d) for d in rng.sample(dv, rng.randint(0, ns))]
-                    if restricted:
+                    if stray:
                         rows += [(q, 5000 + q)]
                 dividend = Relation.of_ints(("q", "d"), rows)
                 divisor = Relation.of_ints(("d",), [(d,) for d in dv])

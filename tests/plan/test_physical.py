@@ -96,6 +96,18 @@ class TestPhysicalPlan:
         # (not a lucky single-phase pass) produced the answer.
         assert ctx.io_stats.counters("temp").transfers > 0
 
+    def test_overflow_fallback_runs_standalone(self):
+        """The fallback serve degrades to: called directly, without a
+        prior overflow, it still yields the exact quotient."""
+        ctx = ExecContext()
+        plan, dividend, divisor = self._plan(
+            ctx, [(1, 0), (1, 1), (2, 0), (3, 1), (3, 0)], [(0,), (1,)]
+        )
+        result = plan.overflow_fallback(name="quotient")
+        assert result.name == "quotient"
+        assert result.set_equal(algebra.divide_set_semantics(dividend, divisor))
+        assert ctx.memory.bytes_in_use == 0
+
     def test_empty_divisor_is_vacuously_true(self, ctx):
         plan, *_ = self._plan(ctx, [(1, 0), (2, 1), (1, 0)], [])
         result = plan.execute()

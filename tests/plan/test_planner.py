@@ -12,7 +12,12 @@ from repro.plan.logical import (
     ProjectNode,
     SourceNode,
 )
-from repro.plan.planner import Planner, collect_division_estimates, compile_plan
+from repro.plan.planner import (
+    Planner,
+    collect_division_estimates,
+    compile_plan,
+    decide_division,
+)
 from repro.relalg.predicates import ComparisonPredicate
 from repro.relalg.relation import Relation
 
@@ -72,6 +77,29 @@ class TestCollectEstimates:
             dividend, divisor, divisor_restricted=True
         )
         assert estimates.divisor_restricted
+
+
+class TestDecideDivision:
+    def test_compiled_plan_records_the_same_decision(self, ctx):
+        node = DivideNode(
+            SourceNode(R([(1, 0), (1, 1), (2, 0)])), SourceNode(S([(0,), (1,)]))
+        )
+        assert compile_plan(node, ctx).decisions == [decide_division(node)]
+
+    @pytest.mark.parametrize(
+        "dividend_rows",
+        [
+            [(1, 0), (1, 1), (2, 0)],  # clean: counting, nothing to remove
+            [(1, 0), (1, 0), (1, 1)],  # duplicates
+        ],
+    )
+    def test_duplicate_elimination_only_for_counting(self, dividend_rows):
+        node = DivideNode(SourceNode(R(dividend_rows)), SourceNode(S([(0,), (1,)])))
+        decision = decide_division(node)
+        counting = decision.strategy.startswith(("sort-agg", "hash-agg"))
+        assert decision.eliminate_duplicates == (
+            counting and decision.estimates.may_contain_duplicates
+        )
 
 
 class TestPlanner:
@@ -148,6 +176,21 @@ class TestCompilePlan:
         assert plan.dividend_input is None
         result = plan.execute()
         assert result.rows == [(1,)]
+
+    def test_given_decision_skips_the_statistics_pass(
+        self, ctx, statistics_passes
+    ):
+        from dataclasses import replace
+
+        node = DivideNode(
+            SourceNode(R([(1, 0), (1, 1), (2, 0)])), SourceNode(S([(0,), (1,)]))
+        )
+        decision = replace(decide_division(node), strategy="naive")
+        del statistics_passes[:]
+        plan = compile_plan(node, ctx, decision=decision)
+        assert statistics_passes == []
+        assert plan.decisions == [decision]
+        assert sorted(plan.execute().rows) == [(1,)]
 
     def test_divide_root_exposes_overflow_inputs(self, ctx):
         node = DivideNode(SourceNode(R([(1, 0)])), SourceNode(S([(0,)])))

@@ -109,6 +109,34 @@ class TestSingleQuery:
         assert outcomes[1].result_tuples == len(oracle)
         assert service.result_cache.stats.hits == 1
 
+    def test_plan_cache_hit_compiles_without_statistics_pass(
+        self, statistics_passes
+    ):
+        from repro.plan.logical import DivideNode, StoredSourceNode
+        from repro.plan.planner import DivisionDecision
+        from repro.serve.cache import plan_key
+
+        service, oracle = make_service(result_cache=False)
+        first = service.submit_query("enrollment", "courses")
+        service.run()
+        assert len(statistics_passes) == 1 and not first.result.plan_cached
+        second = service.submit_query("enrollment", "courses")
+        service.run()
+        assert len(statistics_passes) == 1  # the cached decision skipped the pass
+        assert second.result.plan_cached and not second.result.cached
+        assert frozenset(second.result.rows) == oracle
+
+        catalog = service.catalog
+        node = DivideNode(
+            StoredSourceNode(catalog.get("enrollment")),
+            StoredSourceNode(catalog.get("courses")),
+        )
+        payload = service.plan_cache.get(
+            plan_key(node), catalog.versions_of(("enrollment", "courses"))
+        )
+        assert isinstance(payload, DivisionDecision)
+        assert payload.strategy == second.result.strategy
+
     def test_unknown_table_is_a_typed_error(self):
         service, _ = make_service()
         service.submit_query("nope", "courses")

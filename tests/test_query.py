@@ -128,6 +128,29 @@ class TestContains:
         assert "(restricted)" in text
         assert "quotient: student_id" in text
 
+    def test_plan_is_the_compiled_decision(self, university):
+        from repro.plan.planner import DivisionDecision
+
+        query = (
+            Query(university.transcript)
+            .project("student_id", "course_no")
+            .contains(Query(university.courses).project("course_no"))
+        )
+        decision = query.plan()
+        assert isinstance(decision, DivisionDecision)
+        assert query.compile().decisions == [decision]
+
+    def test_explain_runs_the_statistics_pass_once(
+        self, university, statistics_passes
+    ):
+        query = (
+            Query(university.transcript)
+            .project("student_id", "course_no")
+            .contains(Query(university.courses).project("course_no"))
+        )
+        query.explain()
+        assert len(statistics_passes) == 1
+
     def test_ctx_metering(self, university, ctx):
         query = (
             Query(university.transcript)
