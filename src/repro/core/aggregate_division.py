@@ -50,7 +50,7 @@ from repro.errors import DivisionError, ExecutionError
 from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 from repro.executor.distinct import HashDistinct
 from repro.executor.hash_join import HashSemiJoin
-from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
+from repro.executor.iterator import ExecContext, QueryIterator, drain, run_to_relation
 from repro.executor.merge_join import MergeSemiJoin
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort, count_reducer
@@ -98,7 +98,7 @@ class _AggregateDivisionBase(QueryIterator):
         with tracer.span("aggregate_division.count_divisor") as span:
             self.divisor.open()
             try:
-                rows = list(self.divisor)
+                rows = drain(self.divisor)
             finally:
                 self.divisor.close()
             if self.eliminate_duplicates:

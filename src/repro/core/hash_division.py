@@ -41,7 +41,7 @@ from typing import Optional
 from repro.errors import DivisionError, ExecutionError, HashTableOverflowError, MemoryPoolError
 from repro.core.bitmap import Bitmap
 from repro.executor.hash_table import ChainedHashTable
-from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
+from repro.executor.iterator import ExecContext, QueryIterator, drain, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.algebra import division_attribute_split
 from repro.relalg.relation import Relation
@@ -129,11 +129,9 @@ class HashDivision(QueryIterator):
                     self.dividend.open()
                     try:
                         consume = self._consume_tuple
-                        while True:
-                            row = self.dividend.next()
-                            if row is None:
-                                break
-                            consume(row)
+                        for batch in iter(self.dividend.next_batch, []):
+                            for row in batch:
+                                consume(row)
                     finally:
                         self.dividend.close()
                     span.annotate(
@@ -217,7 +215,7 @@ class HashDivision(QueryIterator):
         """
         self.divisor.open()
         try:
-            rows = list(self.divisor)
+            rows = drain(self.divisor)
         finally:
             self.divisor.close()
         expected = self.expected_divisor or max(1, len(rows))

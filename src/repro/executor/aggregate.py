@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.executor.hash_table import ChainedHashTable
-from repro.executor.iterator import QueryIterator
+from repro.executor.iterator import QueryIterator, drain
 from repro.relalg.schema import Attribute, Schema
 from repro.relalg.tuples import Row, projector
 
@@ -158,14 +158,17 @@ class HashGroupCount(QueryIterator):
             if self.expected_groups == 0:
                 # No sizing hint: size the table from the actual input
                 # (the pessimistic all-distinct case).
-                first_pass = list(self.input_op)
+                first_pass = drain(self.input_op)
                 self.input_op.close()
                 input_open = False
                 expected = max(1, len(first_pass))
-                rows = iter(first_pass)
+                batches = [first_pass]
             else:
                 expected = self.expected_groups
-                rows = iter(self.input_op)
+                # Batch by batch: each batch is counted before the next
+                # is pulled, so inserts and page fixes interleave as
+                # they would row by row.
+                batches = iter(self.input_op.next_batch, [])
             self._table = ChainedHashTable(
                 self.ctx.cpu,
                 self.ctx.memory,
@@ -174,9 +177,11 @@ class HashGroupCount(QueryIterator):
                 tag="hash-aggregate",
                 tracer=self.ctx.tracer,
             )
-            for row in rows:
-                counter, _ = self._table.find_or_insert(extract(row), lambda: [0])
-                counter[0] += 1
+            find_or_insert = self._table.find_or_insert
+            for batch in batches:
+                for row in batch:
+                    counter, _ = find_or_insert(extract(row), _new_counter)
+                    counter[0] += 1
             if input_open:
                 self.input_op.close()
                 input_open = False
@@ -212,3 +217,7 @@ class HashGroupCount(QueryIterator):
 
     def describe(self) -> str:
         return f"HashGroupCount(by={','.join(self.group_names)})"
+
+
+def _new_counter() -> list[int]:
+    return [0]

@@ -40,6 +40,16 @@ class Select(QueryIterator):
             if self._test(row):
                 return row
 
+    def _next_batch(self) -> list[Row]:
+        assert self._test is not None
+        cpu, test = self.ctx.cpu, self._test
+        while batch := self.input_op.next_batch():
+            cpu.comparisons += len(batch)
+            rows = [row for row in batch if test(row)]
+            if rows:
+                return rows
+        return []
+
     def _close(self) -> None:
         self.input_op.close()
         self._test = None

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.executor.hash_table import ChainedHashTable
-from repro.executor.iterator import QueryIterator
+from repro.executor.iterator import QueryIterator, drain
 from repro.relalg.tuples import Row, projector
 
 
@@ -54,7 +54,7 @@ class HashSemiJoin(QueryIterator):
     def _open(self) -> None:
         self.build.open()
         try:
-            rows = list(self.build)
+            rows = drain(self.build)
         finally:
             self.build.close()
         expected = self.expected_build_size or len(rows)
@@ -88,6 +88,15 @@ class HashSemiJoin(QueryIterator):
                 return None
             if self._table.find(self._probe_key(row)) is not None:
                 return row
+
+    def _next_batch(self) -> list[Row]:
+        assert self._table is not None
+        find, key = self._table.find, self._probe_key
+        while batch := self.probe.next_batch():
+            rows = [row for row in batch if find(key(row)) is not None]
+            if rows:
+                return rows
+        return []
 
     def _close(self) -> None:
         self.probe.close()

@@ -125,10 +125,6 @@ class ChainedHashTable:
         occupied = sum(1 for b in self._buckets if b)
         return 0.0 if occupied == 0 else self._size / occupied
 
-    def _bucket_of(self, key: tuple) -> list[list[Any]]:
-        self.cpu.hashes += 1
-        return self._buckets[hash(key) % self.bucket_count]
-
     # -- operations ----------------------------------------------------------
 
     def insert(self, key: tuple, payload: Any) -> None:
@@ -140,8 +136,10 @@ class ChainedHashTable:
         Raises:
             HashTableOverflowError: when the memory pool is exhausted.
         """
-        self._check_live()
-        bucket = self._bucket_of(key)
+        if self._freed:
+            self._check_live()
+        self.cpu.hashes += 1
+        bucket = self._buckets[hash(key) % self.bucket_count]
         try:
             self.memory.allocate(CHAIN_ELEMENT_BYTES + self.entry_bytes, tag=self.tag)
         except MemoryPoolError as exc:
@@ -156,10 +154,11 @@ class ChainedHashTable:
         inspected (entries are inspected until a match is found or the
         chain ends).
         """
-        self._check_live()
-        bucket = self._bucket_of(key)
+        if self._freed:
+            self._check_live()
         cpu = self.cpu
-        for entry in bucket:
+        cpu.hashes += 1
+        for entry in self._buckets[hash(key) % self.bucket_count]:
             cpu.comparisons += 1
             if entry[0] == key:
                 return entry[1]
@@ -172,9 +171,11 @@ class ChainedHashTable:
         hash aggregation and of hash-division's quotient table: one
         hash computation serves both the probe and the insert.
         """
-        self._check_live()
-        bucket = self._bucket_of(key)
+        if self._freed:
+            self._check_live()
         cpu = self.cpu
+        cpu.hashes += 1
+        bucket = self._buckets[hash(key) % self.bucket_count]
         for entry in bucket:
             cpu.comparisons += 1
             if entry[0] == key:

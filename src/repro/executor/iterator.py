@@ -8,6 +8,9 @@ they support a simple open-next-close protocol" (Section 5.1).  Here:
   here,
 * :meth:`QueryIterator.next` returns one output tuple or ``None`` when
   exhausted,
+* :meth:`QueryIterator.next_batch` returns the next non-empty list of
+  output tuples, or ``[]`` when exhausted -- the same tuples in the same
+  order, a fetch-free stretch at a time (see :meth:`next_batch`),
 * :meth:`QueryIterator.close` releases resources (and closes inputs).
 
 The protocol is enforced with an explicit state machine so misuse is a
@@ -220,9 +223,9 @@ class QueryIterator:
     """Base class for all operators: the open-next-close protocol.
 
     Subclasses implement ``_open``, ``_next``, and optionally
-    ``_close``; the public methods enforce the protocol state machine.
-    An operator may be re-opened after :meth:`close` when its inputs
-    support it.
+    ``_next_batch`` and ``_close``; the public methods enforce the
+    protocol state machine.  An operator may be re-opened after
+    :meth:`close` when its inputs support it.
     """
 
     def __init__(self, ctx: ExecContext, schema: Schema) -> None:
@@ -286,6 +289,41 @@ class QueryIterator:
             self.rows_produced += 1
         return row
 
+    def next_batch(self) -> list[Row]:
+        """Produce the next non-empty list of tuples, or ``[]`` when
+        exhausted.
+
+        A batch is what the operator can hand out without fixing
+        another page: a decoded page of a scan, one fetch-free stretch
+        of a spilled sort's merge, the rest of an in-memory list.  Its
+        tuples are the ones :meth:`next` would return, in the same
+        order, with the same meter charges and the same page fixes, and
+        the two calls may be mixed.  A consumer that finishes each batch
+        before it asks for the next therefore fixes pages in the order
+        it would pulling row by row.  The list is the caller's to read,
+        not to modify.
+        """
+        if self._state is _State.FINISHED:
+            return []
+        if self._state is not _State.OPEN:
+            raise ExecutionError(
+                f"{type(self).__name__}.next_batch() called in state {self._state.value}"
+            )
+        tracer = self.ctx.tracer
+        if tracer.enabled:
+            tracer.operator_enter(self, "next")
+            try:
+                rows = self._next_batch()
+            finally:
+                tracer.operator_exit(self, "next")
+        else:
+            rows = self._next_batch()
+        if rows:
+            self.rows_produced += len(rows)
+        else:
+            self._state = _State.FINISHED
+        return rows
+
     def close(self) -> None:
         """Release resources; **idempotent** once the operator has ever
         been opened.
@@ -329,6 +367,11 @@ class QueryIterator:
     def _next(self) -> Optional[Row]:
         raise NotImplementedError
 
+    def _next_batch(self) -> list[Row]:
+        """Default: a batch of one tuple."""
+        row = self._next()
+        return [] if row is None else [row]
+
     def _close(self) -> None:
         """Default: nothing to release."""
 
@@ -367,6 +410,60 @@ class QueryIterator:
         return type(self).__name__
 
 
+class BufferedIterator(QueryIterator):
+    """An operator that produces its tuples a list at a time.
+
+    ``_next`` hands out the buffered list tuple by tuple and
+    ``_next_batch`` hands out what is left of it; either one calls
+    :meth:`_refill` for the next list once the buffer is empty, so both
+    fix the same pages on the same tuple.  Comp charges that a
+    row-at-a-time operator would make tuple by tuple can ride along as
+    ``charges``, one entry per tuple, charged as the tuple is handed
+    out: a consumer that stops early is charged only for what it took.
+    ``_open`` sets the first buffer with :meth:`_set_buffer`.
+    """
+
+    def __init__(self, ctx: ExecContext, schema: Schema) -> None:
+        super().__init__(ctx, schema)
+        self._set_buffer([])
+
+    def _set_buffer(self, rows: list[Row], charges: list[int] | None = None) -> None:
+        self._buffer: list[Row] = rows
+        self._charges: list[int] | None = charges
+        self._position = 0
+
+    def _refill(self) -> bool:
+        """Buffer the next non-empty list of tuples; ``False`` at the
+        end.  Default: there is none."""
+        return False
+
+    def _next(self) -> Optional[Row]:
+        if self._position == len(self._buffer) and not self._refill():
+            return None
+        position = self._position
+        self._position = position + 1
+        if self._charges is not None:
+            self.ctx.cpu.comparisons += self._charges[position]
+        return self._buffer[position]
+
+    def _next_batch(self) -> list[Row]:
+        if self._position == len(self._buffer) and not self._refill():
+            return []
+        rows, charges, position = self._buffer, self._charges, self._position
+        self._position = len(rows)
+        if charges is not None:
+            self.ctx.cpu.comparisons += sum(charges[position:])
+        return rows[position:] if position else rows
+
+    def _close(self) -> None:
+        self._set_buffer([])
+
+
+def drain(operator: QueryIterator) -> list[Row]:
+    """Every remaining tuple of an open operator, pulled batch by batch."""
+    return [row for batch in iter(operator.next_batch, []) for row in batch]
+
+
 def open_all(operators: Sequence[QueryIterator]) -> None:
     """Open several child operators, unwinding cleanly on failure.
 
@@ -394,7 +491,7 @@ def run_to_relation(operator: QueryIterator, name: str = "") -> Relation:
     """Open, drain, and close an operator, collecting a Relation."""
     operator.open()
     try:
-        rows = list(operator)
+        rows = drain(operator)
     finally:
         operator.close()
     return Relation(operator.schema, rows, name=name)

@@ -37,6 +37,10 @@ class Project(QueryIterator):
             return None
         return self._extract(row)
 
+    def _next_batch(self) -> list[Row]:
+        assert self._extract is not None
+        return list(map(self._extract, self.input_op.next_batch()))
+
     def _close(self) -> None:
         self.input_op.close()
         self._extract = None

@@ -11,58 +11,59 @@ without a storage setup.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.executor.iterator import ExecContext, QueryIterator
+from repro.executor.iterator import BufferedIterator, ExecContext
 from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row
 from repro.storage.catalog import StoredRelation
 
 
-class StoredRelationScan(QueryIterator):
+class StoredRelationScan(BufferedIterator):
     """Sequential scan of a stored relation (heap file + codec).
 
     Each page is fixed once, in physical order, and decoded whole;
     buffer misses become sequential read transfers on the backing
-    device.
+    device.  A batch is one page's tuples.
     """
 
     def __init__(self, ctx: ExecContext, stored: StoredRelation) -> None:
         super().__init__(ctx, stored.schema)
         self.stored = stored
-        self._rows: Iterator[Row] | None = None
+        self._pages: Iterator[list[Row]] | None = None
 
     def _open(self) -> None:
-        self._rows = self.stored.scan_tuples()
+        self._pages = self.stored.file.scan_pages(self.stored.codec)
+        self._set_buffer([])
 
-    def _next(self) -> Optional[Row]:
-        assert self._rows is not None
-        return next(self._rows, None)
+    def _refill(self) -> bool:
+        assert self._pages is not None
+        for rows in self._pages:
+            if rows:
+                self._set_buffer(rows)
+                return True
+        return False
 
     def _close(self) -> None:
-        self._rows = None
+        self._pages = None
+        super()._close()
 
     def describe(self) -> str:
         return f"StoredRelationScan({self.stored.name})"
 
 
-class RelationSource(QueryIterator):
-    """Feed an in-memory relation into a plan (no I/O charged)."""
+class RelationSource(BufferedIterator):
+    """Feed an in-memory relation into a plan (no I/O charged).
+
+    One batch holds every tuple.
+    """
 
     def __init__(self, ctx: ExecContext, relation: Relation) -> None:
         super().__init__(ctx, relation.schema)
         self.relation = relation
-        self._rows: Iterator[Row] | None = None
 
     def _open(self) -> None:
-        self._rows = iter(self.relation)
-
-    def _next(self) -> Optional[Row]:
-        assert self._rows is not None
-        return next(self._rows, None)
-
-    def _close(self) -> None:
-        self._rows = None
+        self._set_buffer(list(self.relation))
 
     def describe(self) -> str:
         label = self.relation.name or "anonymous"

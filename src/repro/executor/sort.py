@@ -17,6 +17,22 @@ quicksort bound ``2·n·log2(n)`` comparisons per run, merging charges
 aggregate/duplicate collapse charges one comparison per adjacent pair
 inspected.
 
+Merging works a page at a time (:class:`_RunMerge`).  Each input run
+has one decoded page in memory.  The page whose last key is smallest
+(lowest run index on ties) runs dry first, so every row that sorts no
+later than that last row can be merged without fixing a page: that is
+one *stretch*.  A stable sort of the runs' page slices, taken in run
+order, orders it, so equal keys fall in run order as in a heap merge.
+The stretch's last output group is held back because the next stretch
+may extend it, and the next page is fixed only when that group is
+asked for -- on the same ``next()`` call as a row-by-row heap merge
+with one row of lookahead.  Each output row carries the merge Comp that
+such a heap merge charges on the call returning it, charged when the
+row is handed out, so a consumer that stops early pays what it would
+row by row.  The final merge hands out one stretch per
+:meth:`~repro.executor.iterator.QueryIterator.next_batch`; a merge pass
+appends one stretch at a time to its output run.
+
 Aggregation during sorting is expressed with a :class:`Reducer`: every
 input row is first mapped through ``init`` (e.g. ``(sid, cid) ->
 (sid, 1)``) and rows with equal sort keys are folded with ``combine``
@@ -26,13 +42,14 @@ first of equal rows".
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
-from repro.executor.iterator import QueryIterator
+from repro.executor.iterator import BufferedIterator, QueryIterator
 from repro.relalg.schema import Schema
 from repro.relalg.tuples import Row, projector
 from repro.storage.heapfile import HeapFile
@@ -76,7 +93,7 @@ def count_reducer(input_schema: Schema, group_names: Sequence[str]) -> Reducer:
     return Reducer(output_schema, init, combine)
 
 
-class ExternalSort(QueryIterator):
+class ExternalSort(BufferedIterator):
     """Sort (and optionally aggregate) the input on ``key_names``.
 
     Args:
@@ -110,7 +127,7 @@ class ExternalSort(QueryIterator):
         self._codec = schema.codec()
         self._key = projector(schema, self.key_names)
         self._runs: list[HeapFile] = []
-        self._output: Iterator[Row] | None = None
+        self._merge: _RunMerge | None = None
         self.merge_passes_performed = 0
         #: Initial runs spilled to run files during run generation
         #: (0 for an in-memory sort); surfaced as
@@ -134,15 +151,15 @@ class ExternalSort(QueryIterator):
             finally:
                 self.input_op.close()
             if in_memory is not None:
-                self._output = iter(in_memory)
+                self._merge = None
+                self._set_buffer(in_memory)
                 return
             fan_in = self.ctx.config.sort_fan_in
             while len(self._runs) > fan_in:
                 self._runs = self._merge_pass(self._runs, fan_in)
                 self.merge_passes_performed += 1
-            self._output = self._merge_streams(
-                [self._run_rows(run) for run in self._runs]
-            )
+            self._merge = _RunMerge(self, self._runs)
+            self._set_buffer([])
         except BaseException:
             # A failed open never reaches _close (the state machine
             # stays CLOSED), so spilled run files must be destroyed
@@ -152,12 +169,16 @@ class ExternalSort(QueryIterator):
             self._runs = []
             raise
 
-    def _next(self) -> Optional[Row]:
-        assert self._output is not None
-        return next(self._output, None)
+    def _refill(self) -> bool:
+        if self._merge is None:
+            return False
+        rows, charges = self._merge.stretch()
+        self._set_buffer(rows, charges)
+        return bool(rows)
 
     def _close(self) -> None:
-        self._output = None
+        self._merge = None
+        super()._close()
         for run in self._runs:
             run.destroy()
         self._runs = []
@@ -171,9 +192,6 @@ class ExternalSort(QueryIterator):
         return f"ExternalSort(key={','.join(self.key_names)}, {mode})"
 
     # -- internals -----------------------------------------------------------
-
-    def _transform(self, row: Row) -> Row:
-        return self.reducer.init(row) if self.reducer is not None else row
 
     def _sort_chunk(self, chunk: list[Row]) -> list[Row]:
         """Quicksort one chunk and collapse equal keys.
@@ -191,19 +209,21 @@ class ExternalSort(QueryIterator):
         if not (self.distinct or self.reducer) or not sorted_rows:
             return sorted_rows
         out: list[Row] = [sorted_rows[0]]
-        key = self._key
-        cpu = self.ctx.cpu
-        for row in sorted_rows[1:]:
-            cpu.comparisons += 1
-            if key(row) == key(out[-1]):
-                if self.reducer is not None:
-                    out[-1] = self.reducer.combine(out[-1], row)
+        key, reducer = self._key, self.reducer
+        last_key = key(sorted_rows[0])
+        self.ctx.cpu.comparisons += len(sorted_rows) - 1
+        for row in islice(sorted_rows, 1, None):
+            row_key = key(row)
+            if row_key == last_key:
+                if reducer is not None:
+                    out[-1] = reducer.combine(out[-1], row)
                 elif row != out[-1]:
                     # distinct removes only full duplicates; a row that
                     # shares the key but differs elsewhere is kept.
                     out.append(row)
             else:
                 out.append(row)
+                last_key = row_key
         return out
 
     def _generate_runs(self, capacity: int) -> list[Row] | None:
@@ -214,14 +234,19 @@ class ExternalSort(QueryIterator):
         ``self._runs`` and returns ``None``.
         """
         chunk: list[Row] = []
-        while True:
-            row = self.input_op.next()
-            if row is None:
-                break
-            chunk.append(self._transform(row))
-            if len(chunk) >= capacity:
+        init = self.reducer.init if self.reducer is not None else None
+        for batch in iter(self.input_op.next_batch, []):
+            if init is not None:
+                batch = [init(row) for row in batch]
+            # Write a run after exactly ``capacity`` rows, as pulling
+            # row by row would, before the rest of the batch goes on.
+            start = 0
+            while len(chunk) + len(batch) - start >= capacity:
+                end = start + capacity - len(chunk)
+                chunk.extend(batch[start:end])
                 self._write_run(self._sort_chunk(chunk))
-                chunk = []
+                chunk, start = [], end
+            chunk.extend(batch[start:] if start else batch)
         if not self._runs:
             # Entire input fit in the sort buffer: no run files, no I/O.
             return self._sort_chunk(chunk)
@@ -235,47 +260,13 @@ class ExternalSort(QueryIterator):
         # _open's failure handler finds (and destroys) the partial run
         # instead of leaking its pages.
         self._runs.append(run)
-        encode = self._codec.encode
-        run.append_many(encode(row) for row in rows)
+        run.append_many(map(self._codec.encode, rows))
         self.runs_spilled += 1
         self.run_lengths.append(len(rows))
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.count("repro_sort_spill_runs_total")
             tracer.observe("repro_sort_run_length_rows", len(rows))
-
-    def _run_rows(self, run: HeapFile) -> Iterator[Row]:
-        return run.scan_tuples(self._codec)
-
-    def _merge_streams(self, streams: list[Iterator[Row]]) -> Iterator[Row]:
-        """K-way merge with collapse, charging log2(k) Comp per pop."""
-        key = self._key
-        cpu = self.ctx.cpu
-        per_pop = max(1, math.ceil(math.log2(max(2, len(streams)))))
-        merged = heapq.merge(*streams, key=key)
-
-        def metered() -> Iterator[Row]:
-            pending: Row | None = None
-            for row in merged:
-                cpu.comparisons += per_pop
-                if pending is None:
-                    pending = row
-                    continue
-                if self.distinct or self.reducer:
-                    cpu.comparisons += 1
-                    if key(row) == key(pending):
-                        if self.reducer is not None:
-                            pending = self.reducer.combine(pending, row)
-                        elif row != pending:
-                            yield pending
-                            pending = row
-                        continue
-                yield pending
-                pending = row
-            if pending is not None:
-                yield pending
-
-        return metered()
 
     def _merge_pass(self, runs: list[HeapFile], fan_in: int) -> list[HeapFile]:
         """Merge groups of ``fan_in`` runs into longer runs."""
@@ -286,17 +277,20 @@ class ExternalSort(QueryIterator):
                 if len(group) == 1:
                     next_runs.append(group[0])
                     continue
-                merged = self._merge_streams([self._run_rows(run) for run in group])
+                merge = _RunMerge(self, group)
                 out = self.ctx.temp_file("runs")
                 # Register before writing: a faulted append must leave the
                 # partial output run reachable for cleanup below.
                 next_runs.append(out)
-                # Record at a time: pulling a merged row fixes input
-                # run pages, and batching the output would change the
-                # order pages are fixed in, so the pool's evictions.
-                encode, append = self._codec.encode, out.append
-                for row in merged:
-                    append(encode(row))
+                # A stretch fixes no input page, so appending it at once
+                # fixes pages in the order appending row by row would.
+                encode, cpu = self._codec.encode, self.ctx.cpu
+                while True:
+                    rows, charges = merge.stretch()
+                    if not rows:
+                        break
+                    cpu.comparisons += sum(charges)
+                    out.append_many(map(encode, rows))
                 for run in group:
                     run.destroy()
         except BaseException:
@@ -309,3 +303,134 @@ class ExternalSort(QueryIterator):
                 run.destroy()
             raise
         return next_runs
+
+
+class _RunMerge:
+    """Page-exact k-way merge of sorted runs, a stretch at a time.
+
+    Reads each run through :meth:`HeapFile.scan_pages`.  A stretch ends
+    at the last row of the page that runs dry first; see the module
+    docstring.  Each output row carries the Comp that a heap merge with
+    one row of lookahead charges on the call that returns it:
+    ``log2(k)`` per row popped and, when the sort collapses (distinct or
+    reducer), one per adjacent pair.
+    """
+
+    def __init__(self, sort: ExternalSort, runs: list[HeapFile]) -> None:
+        self._key = sort._key
+        self._reducer = sort.reducer
+        self._collapses = sort.distinct or sort.reducer is not None
+        self._runs = runs
+        self._codec = sort._codec
+        self._per_pop = max(1, math.ceil(math.log2(max(2, len(runs)))))
+        #: One cursor per run with rows left, in run order; ``None``
+        #: until the first stretch fixes the first pages.
+        self._heads: list[_RunCursor] | None = None
+        #: Index into ``_heads`` of the page the last stretch emptied.
+        self._dry: int | None = None
+        #: The held-back output group, and how many rows it folds.
+        self._pending: Row | None = None
+        self._pending_rows = 0
+        #: Comp owed to the next row handed out: the first call of a
+        #: heap merge with lookahead pops one row more than it returns.
+        self._owed = self._per_pop
+
+    def stretch(self) -> tuple[list[Row], list[int]]:
+        """The next output rows up to the next page fix, with the Comp
+        charge of each; empty lists once the merge is done."""
+        out: list[Row] = []
+        while not out:
+            heads = self._heads
+            if heads is None:
+                cursors = (_RunCursor(run.scan_pages(self._codec)) for run in self._runs)
+                heads = self._heads = [cursor for cursor in cursors if cursor.next_page()]
+            elif self._dry is not None:
+                if not heads[self._dry].next_page():
+                    del heads[self._dry]
+                self._dry = None
+            if not heads:
+                if self._pending is None:
+                    return [], []
+                # The last call pops nothing past its group.
+                per_row = self._per_pop + self._collapses
+                charge = self._owed + per_row * (self._pending_rows - 1)
+                out, self._pending = [self._pending], None
+                return out, [charge]
+            key = self._key
+            # min() keeps the first of equal keys: the lowest run index.
+            dry = min(range(len(heads)), key=lambda i: key(heads[i].rows[-1]))
+            last = key(heads[dry].rows[-1])
+            merged: list[Row] = []
+            for index, head in enumerate(heads):
+                rows, start = head.rows, head.start
+                if index == dry:
+                    end = len(rows)
+                elif index < dry:
+                    end = bisect_right(rows, last, start, key=key)
+                else:
+                    end = bisect_left(rows, last, start, key=key)
+                merged.extend(rows[start:end])
+                head.start = end
+            self._dry = dry
+            if len(heads) > 1:
+                merged.sort(key=key)  # stable: equal keys stay in run order
+            out, charges = self._collapse(merged)
+        return out, charges
+
+    def _collapse(self, merged: list[Row]) -> tuple[list[Row], list[int]]:
+        """Fold ``merged`` into the held-back group; returns the groups
+        it completes and their charges, and holds back the last one."""
+        per_pop = self._per_pop
+        pending, folded = self._pending, self._pending_rows
+        out: list[Row] = []
+        charges: list[int] = []
+        if not self._collapses:
+            if pending is not None:
+                out.append(pending)
+            out.extend(merged[:-1])
+            charges = [per_pop] * len(out)
+            pending, folded = merged[-1], 1
+        else:
+            key, reducer, per_row = self._key, self._reducer, per_pop + 1
+            pending_key = key(pending) if pending is not None else None
+            for row in merged:
+                if pending is None:
+                    pending, pending_key, folded = row, key(row), 1
+                    continue
+                row_key = key(row)
+                if row_key == pending_key:
+                    if reducer is not None:
+                        pending = reducer.combine(pending, row)
+                        folded += 1
+                        continue
+                    if row == pending:
+                        folded += 1
+                        continue
+                out.append(pending)
+                charges.append(per_row * folded)
+                pending, pending_key, folded = row, row_key, 1
+        if charges:
+            charges[0] += self._owed
+            self._owed = 0
+        self._pending, self._pending_rows = pending, folded
+        return out, charges
+
+
+class _RunCursor:
+    """One run's decoded page and the position of its next row."""
+
+    __slots__ = ("rows", "start", "pages")
+
+    def __init__(self, pages: Iterator[list[Row]]) -> None:
+        self.rows: list[Row] = []
+        self.start = 0
+        self.pages = pages
+
+    def next_page(self) -> bool:
+        """Load the run's next non-empty page (fixing it); ``False``
+        once the run is exhausted."""
+        for rows in self.pages:
+            if rows:
+                self.rows, self.start = rows, 0
+                return True
+        return False

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 from repro.errors import DivisionError, ExecutionError
 from repro.core.algebraic_division import algebraic_division
-from repro.executor.iterator import QueryIterator, open_all
+from repro.executor.iterator import QueryIterator, drain, open_all
 from repro.relalg.algebra import divide_set_semantics, division_attribute_split
 from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row
@@ -73,9 +73,9 @@ class MaterializedDivision(QueryIterator):
         open_all((self.dividend, self.divisor))
         try:
             dividend = Relation(
-                self.dividend.schema, list(self.dividend), name="dividend"
+                self.dividend.schema, drain(self.dividend), name="dividend"
             )
-            divisor = Relation(self.divisor.schema, list(self.divisor), name="divisor")
+            divisor = Relation(self.divisor.schema, drain(self.divisor), name="divisor")
         finally:
             self.divisor.close()
             self.dividend.close()

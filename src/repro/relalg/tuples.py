@@ -9,6 +9,7 @@ dictionary lookups -- mirroring how the paper's system compiled
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.relalg.schema import Schema
@@ -33,7 +34,8 @@ def projector(schema: Schema, names: Sequence[str]) -> KeyFunction:
     if len(positions) == 1:
         only = positions[0]
         return lambda row: (row[only],)
-    return lambda row, _p=positions: tuple(row[i] for i in _p)
+    # With two or more positions itemgetter already returns a tuple.
+    return itemgetter(*positions)
 
 
 def _identity(row: Row) -> Row:

@@ -13,8 +13,8 @@ time and hands out record bytes.
 
 Writers and readers that need no record ids work a page at a time:
 :meth:`HeapFile.append_many` fixes the last page once per batch of
-records that fit on it, and :meth:`HeapFile.scan_tuples` decodes a
-whole page while it is fixed.
+records that fit on it, and :meth:`HeapFile.scan_pages` decodes a whole
+page while it is fixed.
 """
 
 from __future__ import annotations
@@ -180,12 +180,14 @@ class HeapFile:
             for slot, record in records:
                 yield RecordId(page_no, slot), record
 
-    def scan_tuples(self, codec: RecordCodec) -> Iterator[tuple]:
-        """Sequential scan yielding decoded tuples, without record ids.
+    def scan_pages(self, codec: RecordCodec) -> Iterator[list[tuple]]:
+        """Sequential scan yielding each page's decoded tuples as a list
+        (empty for a page whose records are all deleted).
 
         Fixes and unfixes each page exactly as :meth:`scan` does, but
         decodes the whole page while it is fixed
-        (:meth:`~repro.relalg.schema.RecordCodec.decode_page`).
+        (:meth:`~repro.relalg.schema.RecordCodec.decode_page`).  The
+        page is fixed when its list is asked for.
         """
         self._check_live()
         device, pool, decode_page = self.disk.name, self.pool, codec.decode_page
@@ -195,6 +197,12 @@ class HeapFile:
                 rows = decode_page(SlottedPage(view))
             finally:
                 pool.unfix(device, page_no)
+            yield rows
+
+    def scan_tuples(self, codec: RecordCodec) -> Iterator[tuple]:
+        """Sequential scan yielding decoded tuples, without record ids;
+        the pages are read as :meth:`scan_pages` reads them."""
+        for rows in self.scan_pages(codec):
             yield from rows
 
     # -- lifecycle --------------------------------------------------------------

@@ -4,9 +4,13 @@ Each (|S|, |Q|) point below divides a 10,000-tuple dividend, large
 enough that sort runs spill to the ``runs`` device and the buffer pool
 evicts.  For every strategy the test pins the Table 1 operation counts
 (Comp/Hash/Move/Bit), the Table 3 I/O milliseconds, per-device
-transfers (``io_detail``) and seeks, and buffer evictions and
-write-backs; the cold load of the inputs (``setup``) is pinned the
-same way.  Wall-clock work on the storage or executor hot paths must
+transfers (``io_detail``) and seeks, buffer evictions and write-backs,
+and the sha256 of the run's page-level I/O event log (every transfer,
+in order); the cold load of the inputs (``setup``) is pinned the same
+way.  Two more storage configurations run one point each: a 16 KB pool
+that evicts during run generation and the final merge, and a 2 KB sort
+buffer whose runs outnumber the merge fan-in, so merge passes run in a
+32 KB pool.  Wall-clock work on the storage or executor hot paths must
 leave every one of these numbers unchanged.
 
 The golden file was recorded before the page-at-a-time record path
@@ -17,6 +21,7 @@ existed.  To re-record it after a deliberate model change::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,13 +30,26 @@ import pytest
 
 from repro.executor.iterator import ExecContext
 from repro.experiments.runner import STRATEGIES, run_strategy
+from repro.obs.iotrace import IoEventLog, events_to_jsonl
 from repro.storage.catalog import Catalog
+from repro.storage.config import KIB, StorageConfig
 from repro.workloads.synthetic import make_exact_division
 
 GOLDEN = Path(__file__).with_name("table4_meters.json")
 
 #: (|S|, |Q|) points, 10,000 dividend tuples each.
 POINTS = ((25, 400), (100, 100), (400, 25))
+
+#: Small-memory configurations, each run at one point: name -> config.
+CONFIGS = {
+    "small-pool": StorageConfig(
+        buffer_size=16 * KIB, memory_limit=16 * KIB, sort_buffer_size=32 * KIB
+    ),
+    "merge-passes": StorageConfig(
+        buffer_size=32 * KIB, memory_limit=32 * KIB, sort_buffer_size=2 * KIB
+    ),
+}
+CONFIG_POINT = (100, 100)
 
 
 def _io_meters(ctx: ExecContext, evictions: int, writebacks: int) -> dict:
@@ -46,10 +64,13 @@ def _io_meters(ctx: ExecContext, evictions: int, writebacks: int) -> dict:
     }
 
 
-def measure(divisor_tuples: int, quotient_tuples: int, strategy: str) -> dict:
+def measure(
+    divisor_tuples: int, quotient_tuples: int, strategy: str, config: str = ""
+) -> dict:
     """Store one cold ``R = Q x S`` point, run ``strategy``, read every meter."""
     dividend, divisor = make_exact_division(divisor_tuples, quotient_tuples)
-    ctx = ExecContext()
+    events = IoEventLog(capacity=1 << 20)
+    ctx = ExecContext(CONFIGS.get(config), io_trace=events)
     try:
         catalog = Catalog(ctx.pool, ctx.data_disk)
         catalog.store(dividend, name="dividend", cold=True)
@@ -62,6 +83,7 @@ def measure(divisor_tuples: int, quotient_tuples: int, strategy: str) -> dict:
             expected_quotient=quotient_tuples,
         )
         cpu = ctx.cpu
+        assert events.dropped == 0
         return {
             "quotient_tuples": run.quotient_tuples,
             "comp": cpu.comparisons,
@@ -69,17 +91,25 @@ def measure(divisor_tuples: int, quotient_tuples: int, strategy: str) -> dict:
             "move": cpu.moves,
             "bit": cpu.bit_ops,
             **_io_meters(ctx, evictions, writebacks),
+            "io_events_sha256": hashlib.sha256(
+                events_to_jsonl(events).encode()
+            ).hexdigest(),
             "setup": setup,
         }
     finally:
         ctx.close()
 
 
-def _key(divisor_tuples: int, quotient_tuples: int, strategy: str) -> str:
-    return f"S={divisor_tuples} Q={quotient_tuples} {strategy}"
+def _key(
+    divisor_tuples: int, quotient_tuples: int, strategy: str, config: str = ""
+) -> str:
+    prefix = f"{config} " if config else ""
+    return f"{prefix}S={divisor_tuples} Q={quotient_tuples} {strategy}"
 
 
-CASES = [(s, q, strategy) for s, q in POINTS for strategy in STRATEGIES]
+CASES = [(s, q, strategy, "") for s, q in POINTS for strategy in STRATEGIES] + [
+    (*CONFIG_POINT, strategy, config) for config in CONFIGS for strategy in STRATEGIES
+]
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +121,10 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(_key(*case) for case in CASES)
 
 
-@pytest.mark.parametrize("divisor_tuples,quotient_tuples,strategy", CASES)
-def test_meters_match_golden(golden, divisor_tuples, quotient_tuples, strategy):
-    measured = measure(divisor_tuples, quotient_tuples, strategy)
-    assert measured == golden[_key(divisor_tuples, quotient_tuples, strategy)]
+@pytest.mark.parametrize("divisor_tuples,quotient_tuples,strategy,config", CASES)
+def test_meters_match_golden(golden, divisor_tuples, quotient_tuples, strategy, config):
+    measured = measure(divisor_tuples, quotient_tuples, strategy, config)
+    assert measured == golden[_key(divisor_tuples, quotient_tuples, strategy, config)]
 
 
 def test_points_spill_and_evict(golden):
