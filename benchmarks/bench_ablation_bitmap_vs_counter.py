@@ -9,8 +9,9 @@ the price of the bit maps and demonstrates the correctness cliff.
 from conftest import once
 
 from repro.costmodel.units import PAPER_UNITS
-from repro.core.hash_division import hash_division
-from repro.executor.iterator import ExecContext
+from repro.core.hash_division import HashDivision
+from repro.executor.iterator import ExecContext, run_to_relation
+from repro.executor.scan import RelationSource
 from repro.experiments.report import render_table
 from repro.relalg import algebra
 from repro.workloads.synthetic import make_exact_division, make_with_duplicates
@@ -18,7 +19,13 @@ from repro.workloads.synthetic import make_exact_division, make_with_duplicates
 
 def _run(dividend, divisor, mode):
     ctx = ExecContext()
-    quotient = hash_division(dividend, divisor, ctx=ctx, mode=mode)
+    plan = HashDivision(
+        RelationSource(ctx, dividend),
+        RelationSource(ctx, divisor),
+        mode=mode,
+        expected_divisor=len(divisor),
+    )
+    quotient = run_to_relation(plan)
     return quotient, PAPER_UNITS.cpu_cost_ms(ctx.cpu), ctx.memory.stats.peak_bytes
 
 
@@ -39,8 +46,8 @@ def bench_bitmap_vs_counter(benchmark, write_result):
     # The correctness cliff: duplicates fool counters, not bit maps.
     dup_dividend, dup_divisor = make_with_duplicates(20, 50, 1.0, seed=2)
     expected = algebra.divide_set_semantics(dup_dividend, dup_divisor)
-    bitmap_result = hash_division(dup_dividend, dup_divisor, mode="bitmap")
-    counter_result = hash_division(dup_dividend, dup_divisor, mode="counter")
+    bitmap_result, *_ = _run(dup_dividend, dup_divisor, "bitmap")
+    counter_result, *_ = _run(dup_dividend, dup_divisor, "counter")
     assert bitmap_result.set_equal(expected)
     counter_correct = counter_result.set_equal(expected)
 

@@ -13,8 +13,8 @@ Zipf-skewed dividends and reports what skew does and does not hurt:
 
 from conftest import once
 
+from repro import divide
 from repro.costmodel.units import PAPER_UNITS
-from repro.core.hash_division import hash_division
 from repro.executor.iterator import ExecContext
 from repro.experiments.report import render_table
 from repro.relalg.tuples import projector
@@ -46,7 +46,7 @@ def bench_skewed_enrollment(benchmark, write_result):
                 seed=12,
             )
             ctx = ExecContext()
-            quotient = hash_division(dividend, divisor, ctx=ctx)
+            quotient = divide(dividend, divisor, ctx=ctx)
             assert len(quotient) >= guaranteed
             outcomes.append(
                 (

@@ -11,9 +11,9 @@ in the dividend.
 
 from conftest import once
 
+from repro import divide
 from repro.costmodel.units import PAPER_UNITS
 from repro.core.algebraic_division import algebraic_division
-from repro.core.hash_division import hash_division
 from repro.executor.iterator import ExecContext
 from repro.experiments.report import render_table
 from repro.workloads.zipf import make_zipf_enrollment
@@ -38,7 +38,7 @@ def bench_identity_vs_hash_division(benchmark, write_result):
                 seed=9,
             )
             hash_ctx = ExecContext()
-            hash_quotient = hash_division(dividend, divisor, ctx=hash_ctx)
+            hash_quotient = divide(dividend, divisor, ctx=hash_ctx)
             identity_ctx = ExecContext()
             identity_quotient = algebraic_division(dividend, divisor, ctx=identity_ctx)
             assert hash_quotient.set_equal(identity_quotient)

@@ -1,7 +1,7 @@
 """Quickstart: relational division in three minutes.
 
 Runs the paper's Figure 2 example ("which student has taken *all*
-database courses?") through every division algorithm in the library,
+database courses?") through every division strategy in the library,
 then shows the cost meters that the experiments are built on.
 
 Run with:  python examples/quickstart.py
@@ -19,21 +19,21 @@ def main() -> None:
     print("Transcript:", transcript.rows)
     print("Courses:   ", courses.rows)
 
-    # -- division with the default algorithm (hash-division) ----------
+    # -- division with the default strategy (hash-division) -----------
     quotient = divide(transcript, courses)
     print("\nStudents who took ALL database courses:", quotient.rows)
     assert quotient.rows == [("Ann",)]
 
-    # -- every algorithm gives the same answer ------------------------
-    print("\nAll algorithms agree:")
-    for algorithm in ("hash", "naive", "algebraic", "oracle"):
-        result = divide(transcript, courses, algorithm=algorithm)
-        print(f"  {algorithm:12s} -> {sorted(result.rows)}")
-    # The counting strategies need a semi-join here, because Barb's
-    # Optics tuple references a course outside the divisor:
-    for algorithm in ("sort-aggregate", "hash-aggregate"):
-        result = divide(transcript, courses, algorithm=algorithm, with_join=True)
-        print(f"  {algorithm:12s} -> {sorted(result.rows)} (with_join=True)")
+    # -- every strategy gives the same answer -------------------------
+    # The counting strategies need the semi-join ("with join") here,
+    # because Barb's Optics tuple references a course outside the divisor.
+    print("\nAll strategies agree:")
+    for strategy in (
+        "hash-division", "naive", "algebraic", "oracle",
+        "sort-agg with join", "hash-agg with join",
+    ):
+        result = divide(transcript, courses, strategy=strategy)
+        print(f"  {strategy:18s} -> {sorted(result.rows)}")
 
     # -- integer relations and the cost meters ------------------------
     enrollment = Relation.of_ints(

@@ -28,6 +28,7 @@ Quick start::
     courses = Relation.of_ints(("course_no",), [(10,), (11,)], name="courses")
     quotient = divide(transcript, courses)       # hash-division
     assert quotient.rows == [(1,)]               # student 1 took all courses
+    divide(transcript, courses, strategy="naive")  # any Table 2 strategy
 """
 
 from repro.errors import (
@@ -46,7 +47,6 @@ from repro.relalg import (
     algebra,
 )
 from repro.core import (
-    ALGORITHMS,
     Bitmap,
     HashDivision,
     NaiveDivision,
@@ -55,12 +55,8 @@ from repro.core import (
     divide,
     divide_with_advisor,
     divisor_partitioned_division,
-    hash_aggregate_division,
-    hash_division,
     hash_division_with_overflow,
-    naive_division,
     quotient_partitioned_division,
-    sort_aggregate_division,
 )
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.obs import (
@@ -92,13 +88,8 @@ __all__ = [
     # algorithms
     "divide",
     "divide_with_advisor",
-    "ALGORITHMS",
-    "hash_division",
     "HashDivision",
-    "naive_division",
     "NaiveDivision",
-    "sort_aggregate_division",
-    "hash_aggregate_division",
     "algebraic_division",
     "quotient_partitioned_division",
     "divisor_partitioned_division",

@@ -50,7 +50,7 @@ from repro.errors import DivisionError, ExecutionError
 from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 from repro.executor.distinct import HashDistinct
 from repro.executor.hash_join import HashSemiJoin
-from repro.executor.iterator import ExecContext, QueryIterator, drain, run_to_relation
+from repro.executor.iterator import QueryIterator, drain
 from repro.executor.merge_join import MergeSemiJoin
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort, count_reducer
@@ -116,7 +116,7 @@ class _AggregateDivisionBase(QueryIterator):
         if self.divisor_count == 0:
             raise DivisionError(
                 "division by aggregation cannot express a vacuous for-all "
-                "(empty divisor); use hash_division or naive_division"
+                "(empty divisor); use the 'hash-division' or 'naive' strategy"
             )
         return divisor_relation
 
@@ -258,42 +258,3 @@ class HashAggregateDivision(_AggregateDivisionBase):
     def describe(self) -> str:
         join = "with join" if self.with_join else "no join"
         return f"HashAggregateDivision({join})"
-
-
-def sort_aggregate_division(
-    dividend: Relation,
-    divisor: Relation,
-    with_join: bool = False,
-    eliminate_duplicates: bool = True,
-    ctx: ExecContext | None = None,
-    name: str = "quotient",
-) -> Relation:
-    """Divide two in-memory relations by sort-based counting."""
-    ctx = ctx or ExecContext()
-    operator = SortAggregateDivision(
-        RelationSource(ctx, dividend),
-        RelationSource(ctx, divisor),
-        with_join=with_join,
-        eliminate_duplicates=eliminate_duplicates,
-    )
-    return run_to_relation(operator, name=name)
-
-
-def hash_aggregate_division(
-    dividend: Relation,
-    divisor: Relation,
-    with_join: bool = False,
-    eliminate_duplicates: bool = True,
-    ctx: ExecContext | None = None,
-    name: str = "quotient",
-) -> Relation:
-    """Divide two in-memory relations by hash-based counting."""
-    ctx = ctx or ExecContext()
-    operator = HashAggregateDivision(
-        RelationSource(ctx, dividend),
-        RelationSource(ctx, divisor),
-        with_join=with_join,
-        eliminate_duplicates=eliminate_duplicates,
-        expected_quotient=0,
-    )
-    return run_to_relation(operator, name=name)

@@ -41,8 +41,7 @@ from typing import Optional
 from repro.errors import DivisionError, ExecutionError, HashTableOverflowError, MemoryPoolError
 from repro.core.bitmap import Bitmap
 from repro.executor.hash_table import ChainedHashTable
-from repro.executor.iterator import ExecContext, QueryIterator, drain, run_to_relation
-from repro.executor.scan import RelationSource
+from repro.executor.iterator import QueryIterator, drain
 from repro.relalg.algebra import division_attribute_split
 from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row, projector
@@ -346,29 +345,3 @@ def _split_names(
     shell_dividend = Relation(dividend.schema)
     shell_divisor = Relation(divisor.schema)
     return division_attribute_split(shell_dividend, shell_divisor)
-
-
-def hash_division(
-    dividend: Relation,
-    divisor: Relation,
-    ctx: ExecContext | None = None,
-    early_output: bool = False,
-    mode: str = "bitmap",
-    name: str = "quotient",
-) -> Relation:
-    """Divide two in-memory relations with hash-division.
-
-    Convenience wrapper building the two-source plan and draining it.
-    For metered experiments over stored relations, construct
-    :class:`HashDivision` over :class:`~repro.executor.scan.StoredRelationScan`
-    inputs instead.
-    """
-    ctx = ctx or ExecContext()
-    operator = HashDivision(
-        RelationSource(ctx, dividend),
-        RelationSource(ctx, divisor),
-        early_output=early_output,
-        mode=mode,
-        expected_divisor=len(divisor),
-    )
-    return run_to_relation(operator, name=name)

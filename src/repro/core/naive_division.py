@@ -12,8 +12,9 @@ list is reached" (Section 5.1).
 Per the paper's implementation, the operator "first consumes the entire
 divisor relation, building a linked list of divisor tuples fixed in the
 buffer pool" -- here, a Python list -- and requires duplicate-free,
-sorted inputs.  :func:`naive_division` wraps the operator with the
-necessary sorts (with duplicate elimination) for in-memory relations.
+sorted inputs.  The plan factory
+(:func:`repro.plan.physical.build_division_operator`, strategy
+``"naive"``) puts the necessary sorts below the operator.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import DivisionError, ExecutionError
-from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
-from repro.executor.scan import RelationSource
-from repro.executor.sort import ExternalSort
+from repro.executor.iterator import QueryIterator
 from repro.relalg.algebra import division_attribute_split
 from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row, projector
@@ -152,31 +151,3 @@ class NaiveDivision(QueryIterator):
 
     def describe(self) -> str:
         return f"NaiveDivision(÷{','.join(self.divisor_names)})"
-
-
-def naive_division(
-    dividend: Relation,
-    divisor: Relation,
-    ctx: ExecContext | None = None,
-    name: str = "quotient",
-) -> Relation:
-    """Divide two in-memory relations with the naive algorithm.
-
-    Builds the full plan the paper analyzes: sort the dividend on
-    (quotient, divisor) attributes with duplicate elimination, sort the
-    divisor with duplicate elimination, then merge-scan.
-    """
-    ctx = ctx or ExecContext()
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
-    sorted_dividend = ExternalSort(
-        RelationSource(ctx, dividend),
-        key_names=quotient_names + divisor_names,
-        distinct=True,
-    )
-    sorted_divisor = ExternalSort(
-        RelationSource(ctx, divisor),
-        key_names=divisor.schema.names,
-        distinct=True,
-    )
-    operator = NaiveDivision(sorted_dividend, sorted_divisor)
-    return run_to_relation(operator, name=name)

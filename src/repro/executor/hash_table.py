@@ -79,9 +79,7 @@ class ChainedHashTable:
         self._size = 0
         self._freed = False
         try:
-            self._array_handle = memory.allocate(
-                bucket_count * BUCKET_HEADER_BYTES, tag=self.tag
-            )
+            memory.allocate(bucket_count * BUCKET_HEADER_BYTES, tag=self.tag)
         except MemoryPoolError as exc:
             raise self._overflow(exc, site="bucket-array") from exc
 

@@ -1,4 +1,4 @@
-"""Plan builder and meter plumbing for the experimental comparison.
+"""The measured unit of the experimental comparison, and its meter plumbing.
 
 :func:`run_strategy` is the unit of Table 4: store the inputs cold on
 the simulated disk, build the named strategy's plan over file scans,
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ExperimentError
+from repro.costmodel.scenarios import TABLE2_COLUMNS
 from repro.costmodel.units import CostUnits, PAPER_UNITS
-from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.obs.profile import QueryProfile, build_profile
 from repro.obs.span import Clock, MONOTONIC_CLOCK
 from repro.executor.scan import StoredRelationScan
@@ -23,14 +23,7 @@ from repro.plan.physical import build_division_operator
 from repro.relalg.relation import Relation
 from repro.storage.catalog import Catalog
 
-STRATEGIES: tuple[str, ...] = (
-    "naive",
-    "sort-agg no join",
-    "sort-agg with join",
-    "hash-agg no join",
-    "hash-agg with join",
-    "hash-division",
-)
+STRATEGIES: tuple[str, ...] = TABLE2_COLUMNS
 """Strategy names, matching the Table 2/Table 4 column order."""
 
 
@@ -54,43 +47,6 @@ class DivisionRun:
     def total_ms(self) -> float:
         """Model CPU + I/O milliseconds -- the Table 4 cell value."""
         return self.cpu_ms + self.io_ms
-
-
-def build_strategy_plan(
-    strategy: str,
-    dividend_scan: QueryIterator,
-    divisor_scan: QueryIterator,
-    expected_divisor: int,
-    expected_quotient: int,
-    duplicate_free_inputs: bool = True,
-) -> QueryIterator:
-    """Build the operator tree for one named strategy.
-
-    ``duplicate_free_inputs=True`` reproduces the paper's analyzed
-    configuration (no explicit duplicate-elimination steps); pass False
-    for workloads with duplicates, which inserts the preprocessing each
-    strategy needs.
-
-    This is a thin adapter over the planner layer's
-    :func:`repro.plan.physical.build_division_operator` -- the single
-    strategy-name -> operator-tree factory shared with compiled
-    ``contains`` queries -- kept for the experiment harness's
-    vocabulary (Table 4 strategy names, duplicate-free default).
-    """
-    if strategy not in STRATEGIES:
-        raise ExperimentError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    eliminate = not duplicate_free_inputs
-    return build_division_operator(
-        strategy,
-        dividend_scan,
-        divisor_scan,
-        expected_divisor=expected_divisor,
-        expected_quotient=expected_quotient,
-        eliminate_duplicates=eliminate,
-        distinct_sorts=eliminate,
-    )
 
 
 def run_strategy(
@@ -123,13 +79,18 @@ def run_strategy(
     cpu_before = ctx.cpu.snapshot()
     io_before = ctx.io_stats.snapshot()
     started = clock.now()
-    plan = build_strategy_plan(
+    # Duplicate-free inputs reproduce the paper's analyzed configuration
+    # (no explicit duplicate-elimination steps); otherwise each strategy
+    # gets the preprocessing it needs.
+    eliminate = not duplicate_free_inputs
+    plan = build_division_operator(
         strategy,
         StoredRelationScan(ctx, stored_dividend),
         StoredRelationScan(ctx, stored_divisor),
         expected_divisor=stored_divisor.record_count,
         expected_quotient=expected_quotient,
-        duplicate_free_inputs=duplicate_free_inputs,
+        eliminate_duplicates=eliminate,
+        distinct_sorts=eliminate,
     )
     quotient = run_to_relation(plan, name="quotient")
     wall = clock.now() - started

@@ -2,11 +2,12 @@
 
 :func:`build_division_operator` is the single place in the codebase
 that knows how to turn a named division strategy into an operator tree
-over arbitrary dividend/divisor inputs.  Both consumers route through
+over arbitrary dividend/divisor inputs.  Every consumer routes through
 it: the planner (:mod:`repro.plan.planner`) when compiling a
-``contains`` query, and the experiment harness
-(:func:`repro.experiments.runner.build_strategy_plan`) when measuring
-the Table 4 grid -- one factory, no duplicated plan-building paths.
+``contains`` query, the experiment harness
+(:func:`repro.experiments.runner.run_strategy`) when measuring the
+Table 4 grid, and :func:`repro.divide` over in-memory relations -- one
+factory, one strategy vocabulary.
 
 :class:`PhysicalPlan` wraps a compiled operator tree with the planner's
 decisions, uniform EXPLAIN rendering, and a memory-overflow fallback:
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ExecutionError, ExperimentError, HashTableOverflowError
+from repro.errors import DivisionError, ExecutionError, HashTableOverflowError
 from repro.core.aggregate_division import (
     HashAggregateDivision,
     SortAggregateDivision,
@@ -29,6 +30,7 @@ from repro.core.aggregate_division import (
 from repro.core.hash_division import HashDivision
 from repro.core.naive_division import NaiveDivision
 from repro.core.partitioned import hash_division_with_overflow
+from repro.costmodel.scenarios import TABLE2_COLUMNS
 from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
 from repro.executor.sort import ExternalSort
 from repro.plan.operators import MaterializedDivision
@@ -41,16 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 #: Every strategy name the factory accepts: the six advisor/Table 2
 #: strategies plus the two relation-level methods.
-DIVISION_OPERATOR_STRATEGIES: tuple[str, ...] = (
-    "naive",
-    "sort-agg no join",
-    "sort-agg with join",
-    "hash-agg no join",
-    "hash-agg with join",
-    "hash-division",
-    "algebraic",
-    "oracle",
-)
+DIVISION_OPERATOR_STRATEGIES: tuple[str, ...] = TABLE2_COLUMNS + ("algebraic", "oracle")
 
 
 def build_division_operator(
@@ -128,7 +121,7 @@ def build_division_operator(
         )
     if strategy in ("algebraic", "oracle"):
         return MaterializedDivision(dividend, divisor, method=strategy)
-    raise ExperimentError(
+    raise DivisionError(
         f"unknown strategy {strategy!r}; "
         f"expected one of {DIVISION_OPERATOR_STRATEGIES}"
     )

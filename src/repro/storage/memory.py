@@ -20,6 +20,8 @@ makes the simulated experiments respect the paper's memory limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.errors import MemoryPoolError
 
@@ -33,14 +35,6 @@ BUCKET_HEADER_BYTES = 8
 
 
 @dataclass
-class Allocation:
-    """A live allocation: its size and a tag naming its purpose."""
-
-    size: int
-    tag: str
-
-
-@dataclass
 class MemoryPoolStats:
     """Aggregate allocation statistics for one pool."""
 
@@ -51,6 +45,9 @@ class MemoryPoolStats:
 
 class MemoryPool:
     """A byte-budgeted allocator with tagged allocations.
+
+    Live bytes are kept per tag: operators release a whole hash table
+    by its tag (:meth:`free_all`), never one allocation at a time.
 
     Args:
         budget: Maximum live bytes; ``None`` means unbounded (useful
@@ -69,8 +66,7 @@ class MemoryPool:
         self.injector = None
         #: Times :meth:`apply_pressure` shrank the budget.
         self.pressure_events = 0
-        self._live: dict[int, Allocation] = {}
-        self._next_handle = 0
+        self._live: dict[str, int] = {}
         self._in_use = 0
 
     @property
@@ -89,8 +85,13 @@ class MemoryPool:
         """True when an allocation of ``size`` bytes would succeed."""
         return self.budget is None or self._in_use + size <= self.budget
 
-    def allocate(self, size: int, tag: str = "untagged") -> int:
-        """Reserve ``size`` bytes; returns a handle for :meth:`free`.
+    @property
+    def live_tags(self) -> Mapping[str, int]:
+        """Read-only view: live bytes per tag with unreleased allocations."""
+        return MappingProxyType(self._live)
+
+    def allocate(self, size: int, tag: str = "untagged") -> None:
+        """Reserve ``size`` bytes under ``tag``.
 
         Raises:
             MemoryPoolError: when the allocation would exceed the budget.
@@ -104,14 +105,11 @@ class MemoryPool:
                 f"memory pool exhausted: {self._in_use} bytes in use, "
                 f"{size} requested ({tag}), budget {self.budget}"
             )
-        handle = self._next_handle
-        self._next_handle += 1
-        self._live[handle] = Allocation(size, tag)
+        self._live[tag] = self._live.get(tag, 0) + size
         self._in_use += size
         self.stats.total_allocations += 1
         self.stats.by_tag[tag] = self.stats.by_tag.get(tag, 0) + size
         self.stats.peak_bytes = max(self.stats.peak_bytes, self._in_use)
-        return handle
 
     def apply_pressure(self, factor: float) -> int:
         """Shrink the budget to ``factor`` of its effective size.
@@ -131,13 +129,6 @@ class MemoryPool:
         self.pressure_events += 1
         return self.budget
 
-    def free(self, handle: int) -> None:
-        """Release one allocation."""
-        allocation = self._live.pop(handle, None)
-        if allocation is None:
-            raise MemoryPoolError(f"handle {handle} is not a live allocation")
-        self._in_use -= allocation.size
-
     def free_all(self, tag: str | None = None) -> int:
         """Release every live allocation (optionally only one tag).
 
@@ -145,14 +136,11 @@ class MemoryPool:
         tear down a whole hash table ("free divisor table", Figure 1)
         in one call.
         """
-        victims = [
-            handle
-            for handle, allocation in self._live.items()
-            if tag is None or allocation.tag == tag
-        ]
-        released = 0
-        for handle in victims:
-            released += self._live.pop(handle).size
+        if tag is None:
+            released = self._in_use
+            self._live.clear()
+        else:
+            released = self._live.pop(tag, 0)
         self._in_use -= released
         return released
 

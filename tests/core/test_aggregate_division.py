@@ -4,13 +4,27 @@ import pytest
 
 from repro.errors import DivisionError
 from repro.core.aggregate_division import (
-    hash_aggregate_division,
-    sort_aggregate_division,
+    HashAggregateDivision,
+    SortAggregateDivision,
 )
-from repro.executor.iterator import ExecContext
+from repro.executor.iterator import ExecContext, run_to_relation
+from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
 
-STRATEGIES = (sort_aggregate_division, hash_aggregate_division)
+OPERATORS = (SortAggregateDivision, HashAggregateDivision)
+
+
+def _divide(operator, dividend, divisor, with_join=False, eliminate_duplicates=True, ctx=None):
+    """Drain one counting operator over two in-memory inputs."""
+    ctx = ctx or ExecContext()
+    return run_to_relation(
+        operator(
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
+            with_join=with_join,
+            eliminate_duplicates=eliminate_duplicates,
+        )
+    )
 
 
 @pytest.fixture
@@ -36,85 +50,85 @@ def restricted_case():
 
 
 class TestWithoutJoin:
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_correct_under_referential_integrity(self, division, clean_case):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_correct_under_referential_integrity(self, operator, clean_case):
         dividend, divisor, expected = clean_case
-        assert set(division(dividend, divisor).rows) == expected
+        assert set(_divide(operator, dividend, divisor).rows) == expected
 
-    @pytest.mark.parametrize("division", STRATEGIES)
+    @pytest.mark.parametrize("operator", OPERATORS)
     def test_wrong_without_join_when_divisor_restricted(
-        self, division, restricted_case
+        self, operator, restricted_case
     ):
         """Documents the precondition: without the semi-join, tuples
         referencing non-divisor values are miscounted."""
         dividend, divisor, expected = restricted_case
-        result = set(division(dividend, divisor, with_join=False).rows)
+        result = set(_divide(operator, dividend, divisor, with_join=False).rows)
         assert result != expected  # (2,) or (3,) sneaks in
 
 
 class TestWithJoin:
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_correct_with_restricted_divisor(self, division, restricted_case):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_correct_with_restricted_divisor(self, operator, restricted_case):
         dividend, divisor, expected = restricted_case
-        assert set(division(dividend, divisor, with_join=True).rows) == expected
+        assert set(_divide(operator, dividend, divisor, with_join=True).rows) == expected
 
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_join_harmless_on_clean_input(self, division, clean_case):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_join_harmless_on_clean_input(self, operator, clean_case):
         dividend, divisor, expected = clean_case
-        assert set(division(dividend, divisor, with_join=True).rows) == expected
+        assert set(_divide(operator, dividend, divisor, with_join=True).rows) == expected
 
 
 class TestDuplicates:
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_duplicates_handled_when_elimination_requested(self, division):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_duplicates_handled_when_elimination_requested(self, operator):
         dividend = Relation.of_ints(
             ("q", "d"), [(1, 5), (1, 5), (1, 6), (2, 5), (2, 5)]
         )
         divisor = Relation.of_ints(("d",), [(5,), (6,), (5,)])
-        result = division(dividend, divisor, eliminate_duplicates=True)
+        result = _divide(operator, dividend, divisor, eliminate_duplicates=True)
         assert set(result.rows) == {(1,)}
 
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_duplicates_break_counting_without_elimination(self, division):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_duplicates_break_counting_without_elimination(self, operator):
         """Footnote 1: counting without explicit duplicate elimination
         is wrong on inputs with duplicates."""
         dividend = Relation.of_ints(("q", "d"), [(2, 5), (2, 5)])
         divisor = Relation.of_ints(("d",), [(5,), (6,)])
-        wrong = division(dividend, divisor, eliminate_duplicates=False)
+        wrong = _divide(operator, dividend, divisor, eliminate_duplicates=False)
         assert set(wrong.rows) == {(2,)}  # counted 2 "courses"
 
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_divisor_duplicates_inflate_target_without_elimination(self, division):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_divisor_duplicates_inflate_target_without_elimination(self, operator):
         dividend = Relation.of_ints(("q", "d"), [(1, 5), (1, 6)])
         divisor = Relation.of_ints(("d",), [(5,), (6,), (6,)])
-        wrong = division(dividend, divisor, eliminate_duplicates=False)
+        wrong = _divide(operator, dividend, divisor, eliminate_duplicates=False)
         assert wrong.rows == []  # target count 3, actual 2
-        right = division(dividend, divisor, eliminate_duplicates=True)
+        right = _divide(operator, dividend, divisor, eliminate_duplicates=True)
         assert right.rows == [(1,)]
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_empty_divisor_rejected(self, division):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_empty_divisor_rejected(self, operator):
         dividend = Relation.of_ints(("q", "d"), [(1, 5)])
         divisor = Relation.of_ints(("d",), [])
         with pytest.raises(DivisionError):
-            division(dividend, divisor)
+            _divide(operator, dividend, divisor)
 
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_empty_dividend(self, division):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_empty_dividend(self, operator):
         dividend = Relation.of_ints(("q", "d"), [])
         divisor = Relation.of_ints(("d",), [(5,)])
-        assert division(dividend, divisor).rows == []
+        assert _divide(operator, dividend, divisor).rows == []
 
-    @pytest.mark.parametrize("division", STRATEGIES)
-    def test_multi_attribute_keys(self, division):
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_multi_attribute_keys(self, operator):
         dividend = Relation.of_ints(
             ("q1", "q2", "d1", "d2"),
             [(1, 1, 5, 50), (1, 1, 6, 60), (2, 2, 5, 50)],
         )
         divisor = Relation.of_ints(("d1", "d2"), [(5, 50), (6, 60)])
-        assert division(dividend, divisor).rows == [(1, 1)]
+        assert _divide(operator, dividend, divisor).rows == [(1, 1)]
 
     def test_memory_released(self):
         ctx = ExecContext()
@@ -122,7 +136,7 @@ class TestEdgeCases:
             ("q", "d"), [(q, d) for q in range(50) for d in range(5)]
         )
         divisor = Relation.of_ints(("d",), [(d,) for d in range(5)])
-        hash_aggregate_division(dividend, divisor, with_join=True, ctx=ctx)
+        _divide(HashAggregateDivision, dividend, divisor, with_join=True, ctx=ctx)
         assert ctx.memory.bytes_in_use == 0
 
     def test_sort_path_uses_external_sort_metering(self):
@@ -131,7 +145,7 @@ class TestEdgeCases:
             ("q", "d"), [(q, d) for q in range(30) for d in range(4)]
         )
         divisor = Relation.of_ints(("d",), [(d,) for d in range(4)])
-        sort_aggregate_division(dividend, divisor, ctx=ctx)
+        _divide(SortAggregateDivision, dividend, divisor, ctx=ctx)
         assert ctx.cpu.comparisons > 0
 
     def test_hash_path_uses_hash_metering(self):
@@ -140,5 +154,5 @@ class TestEdgeCases:
             ("q", "d"), [(q, d) for q in range(30) for d in range(4)]
         )
         divisor = Relation.of_ints(("d",), [(d,) for d in range(4)])
-        hash_aggregate_division(dividend, divisor, ctx=ctx)
+        _divide(HashAggregateDivision, dividend, divisor, ctx=ctx)
         assert ctx.cpu.hashes > 0

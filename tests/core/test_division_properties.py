@@ -9,17 +9,13 @@ algorithms that claim to tolerate them.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hash_division import hash_division
-from repro.core.naive_division import naive_division
-from repro.core.aggregate_division import (
-    hash_aggregate_division,
-    sort_aggregate_division,
-)
+from repro import divide
+from repro.core.hash_division import HashDivision
 from repro.core.partitioned import (
     divisor_partitioned_division,
     quotient_partitioned_division,
 )
-from repro.executor.iterator import ExecContext
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg import algebra
 from repro.relalg.relation import Relation
@@ -41,12 +37,20 @@ def as_relations(dividend, divisor):
     )
 
 
+def hash_division_variant(R, S, **variant):
+    """Hash-division with a Section 3.3 variant, built directly."""
+    ctx = ExecContext()
+    return run_to_relation(
+        HashDivision(RelationSource(ctx, R), RelationSource(ctx, S), **variant)
+    )
+
+
 @given(dividend_rows, divisor_rows)
 @settings(max_examples=120, deadline=None)
 def test_hash_division_matches_oracle(dividend, divisor):
     R, S = as_relations(dividend, divisor)
     expected = algebra.divide_set_semantics(R, S)
-    assert hash_division(R, S).set_equal(expected)
+    assert divide(R, S, strategy="hash-division").set_equal(expected)
 
 
 @given(dividend_rows, divisor_rows)
@@ -54,7 +58,7 @@ def test_hash_division_matches_oracle(dividend, divisor):
 def test_hash_division_early_output_matches_oracle(dividend, divisor):
     R, S = as_relations(dividend, divisor)
     expected = algebra.divide_set_semantics(R, S)
-    assert hash_division(R, S, early_output=True).set_equal(expected)
+    assert hash_division_variant(R, S, early_output=True).set_equal(expected)
 
 
 @given(dividend_rows, divisor_rows)
@@ -62,7 +66,7 @@ def test_hash_division_early_output_matches_oracle(dividend, divisor):
 def test_naive_division_matches_oracle(dividend, divisor):
     R, S = as_relations(dividend, divisor)
     expected = algebra.divide_set_semantics(R, S)
-    assert naive_division(R, S).set_equal(expected)
+    assert divide(R, S, strategy="naive").set_equal(expected)
 
 
 @given(dividend_rows, divisor_rows)
@@ -72,8 +76,8 @@ def test_aggregation_with_join_matches_oracle(dividend, divisor):
     if not len(S):
         return  # counting cannot express the vacuous case
     expected = algebra.divide_set_semantics(R, S)
-    assert sort_aggregate_division(R, S, with_join=True).set_equal(expected)
-    assert hash_aggregate_division(R, S, with_join=True).set_equal(expected)
+    assert divide(R, S, strategy="sort-agg with join").set_equal(expected)
+    assert divide(R, S, strategy="hash-agg with join").set_equal(expected)
 
 
 @given(
@@ -88,8 +92,8 @@ def test_aggregation_without_join_under_referential_integrity(dividend, divisor)
     dividend = [(q, d) for q, d in dividend if d in divisor_values]
     R, S = as_relations(dividend, divisor)
     expected = algebra.divide_set_semantics(R, S)
-    assert sort_aggregate_division(R, S, with_join=False).set_equal(expected)
-    assert hash_aggregate_division(R, S, with_join=False).set_equal(expected)
+    assert divide(R, S, strategy="sort-agg no join").set_equal(expected)
+    assert divide(R, S, strategy="hash-agg no join").set_equal(expected)
 
 
 @given(dividend_rows, divisor_rows, st.integers(min_value=1, max_value=5))
@@ -113,6 +117,6 @@ def test_partitioned_division_matches_oracle(dividend, divisor, partitions):
 def test_counter_mode_matches_bitmap_on_duplicate_free_input(dividend, divisor):
     dividend = list(dict.fromkeys(dividend))  # deduplicate
     R, S = as_relations(dividend, divisor)
-    bitmap_result = hash_division(R, S, mode="bitmap")
-    counter_result = hash_division(R, S, mode="counter")
+    bitmap_result = hash_division_variant(R, S, mode="bitmap")
+    counter_result = hash_division_variant(R, S, mode="counter")
     assert bitmap_result.set_equal(counter_result)

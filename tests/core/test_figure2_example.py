@@ -20,26 +20,21 @@ class TestFigure2:
     def test_every_algorithm_agrees(self):
         transcript = figure2_transcript()
         courses = figure2_courses()
-        for algorithm in ("hash", "naive", "algebraic", "oracle"):
-            quotient = divide(transcript, courses, algorithm=algorithm)
-            assert set(quotient.rows) == {("Ann",)}, algorithm
-        for algorithm in ("sort-aggregate", "hash-aggregate"):
-            # Barb's Optics tuple matches no divisor course, so the
-            # counting strategies need the semi-join (with_join=True).
-            quotient = divide(
-                transcript, courses, algorithm=algorithm, with_join=True
-            )
-            assert set(quotient.rows) == {("Ann",)}, algorithm
+        # Barb's Optics tuple matches no divisor course, so the
+        # counting strategies need the semi-join ("with join").
+        for strategy in (
+            "hash-division", "naive", "algebraic", "oracle",
+            "sort-agg with join", "hash-agg with join",
+        ):
+            quotient = divide(transcript, courses, strategy=strategy)
+            assert set(quotient.rows) == {("Ann",)}, strategy
 
     def test_counting_without_join_fails_here(self):
         """The Optics tuple is exactly why the paper's second example
         needs a join: without it Barb's two tuples count as two
         'courses' and she wrongly qualifies."""
         wrong = divide(
-            figure2_transcript(),
-            figure2_courses(),
-            algorithm="sort-aggregate",
-            with_join=False,
+            figure2_transcript(), figure2_courses(), strategy="sort-agg no join"
         )
         assert set(wrong.rows) == {("Ann",), ("Barb",)}
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DivisionError, ExecutionError
-from repro.core.hash_division import HashDivision, hash_division
+from repro import divide
+from repro.core.hash_division import HashDivision
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -24,11 +25,12 @@ class TestBasicDivision:
         result = run_to_relation(operator(ctx, dividend, courses))
         assert set(result.rows) == expected_quotient
 
-    def test_wrapper_function(self, transcript, courses, expected_quotient):
+    def test_divide_entry_point(self, transcript, courses, expected_quotient):
         dividend = Relation.of_ints(
             ("student_id", "course_no"), list(transcript.rows)
         )
-        assert set(hash_division(dividend, courses).rows) == expected_quotient
+        quotient = divide(dividend, courses, strategy="hash-division")
+        assert set(quotient.rows) == expected_quotient
 
     def test_quotient_schema(self, ctx):
         dividend = Relation.of_ints(("q1", "d", "q2"), [])
@@ -159,10 +161,7 @@ class TestResourceHandling:
         plan = operator(ctx, dividend, divisor)
         plan.open()
         bytes_during_output = ctx.memory.bytes_in_use
-        tags_alive = {
-            allocation.tag.split("#")[0]
-            for allocation in ctx.memory._live.values()
-        }
+        tags_alive = {tag.split("#")[0] for tag in ctx.memory.live_tags}
         assert "divisor-table" not in tags_alive
         assert bytes_during_output > 0
         plan.close()

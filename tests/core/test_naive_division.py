@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DivisionError
-from repro.core.naive_division import NaiveDivision, naive_division
+from repro import divide
+from repro.core.naive_division import NaiveDivision
 from repro.executor.iterator import run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -76,14 +77,14 @@ class TestMergeScan:
             plan.open()
 
 
-class TestWrapper:
+class TestStrategyWithSorts:
     def test_sorts_and_deduplicates(self, transcript, courses, expected_quotient):
         dividend = Relation.of_ints(
             ("student_id", "course_no"),
             list(transcript.rows) + list(transcript.rows),  # duplicates
         )
         shuffled_divisor = Relation.of_ints(("course_no",), [(11,), (10,), (11,)])
-        result = naive_division(dividend, shuffled_divisor)
+        result = divide(dividend, shuffled_divisor, strategy="naive")
         assert set(result.rows) == expected_quotient
 
     def test_multi_attribute_quotient_and_divisor(self):
@@ -96,7 +97,7 @@ class TestWrapper:
             ],
         )
         divisor = Relation.of_ints(("d1", "d2"), [(5, 50), (6, 60)])
-        assert naive_division(dividend, divisor).rows == [(1, 1)]
+        assert divide(dividend, divisor, strategy="naive").rows == [(1, 1)]
 
     def test_metering_charges_sort_and_scan(self):
         from repro.executor.iterator import ExecContext
@@ -106,6 +107,6 @@ class TestWrapper:
             ("q", "d"), [(q, d) for q in range(20) for d in range(10)]
         )
         divisor = Relation.of_ints(("d",), [(d,) for d in range(10)])
-        naive_division(dividend, divisor, ctx=ctx)
+        divide(dividend, divisor, strategy="naive", ctx=ctx)
         # Sorting dominates: far more than one comparison per tuple.
         assert ctx.cpu.comparisons > len(dividend)

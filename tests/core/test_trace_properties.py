@@ -12,7 +12,7 @@ reports.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hash_division import hash_division
+from repro import divide
 from repro.core.trace import trace_hash_division
 from repro.relalg import algebra
 from repro.relalg.relation import Relation
@@ -39,7 +39,7 @@ def as_relations(dividend, divisor):
 def test_trace_quotient_matches_hash_division(dividend, divisor):
     R, S = as_relations(dividend, divisor)
     trace = trace_hash_division(R, S)
-    operator_quotient = hash_division(R, S)
+    operator_quotient = divide(R, S, strategy="hash-division")
     assert sorted(set(trace.quotient)) == sorted(set(operator_quotient.rows))
 
 

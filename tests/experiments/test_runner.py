@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.costmodel.scenarios import TABLE2_COLUMNS
+from repro.errors import DivisionError
 from repro.experiments.runner import (
     STRATEGIES,
-    build_strategy_plan,
+    run_strategy,
     run_strategy_on_relations,
 )
 from repro.relalg import algebra
@@ -33,8 +34,11 @@ class TestRunStrategy:
 
     def test_unknown_strategy_rejected(self):
         dividend, divisor = make_exact_division(2, 2)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(DivisionError, match="unknown strategy"):
             run_strategy_on_relations("quantum", dividend, divisor)
+
+    def test_strategies_are_the_table2_columns(self):
+        assert STRATEGIES is TABLE2_COLUMNS
 
     def test_duplicate_inputs_need_the_flag(self):
         dividend, divisor = make_with_duplicates(5, 10, duplication_factor=1.0)
@@ -75,24 +79,14 @@ class TestRanking:
         assert totals["hash-division"] / totals["hash-agg no join"] < 2.0
 
 
-class TestPlanBuilder:
-    def test_plans_are_query_iterators(self, ctx, catalog):
-        from repro.executor.scan import StoredRelationScan
-
+class TestSharedContext:
+    def test_every_strategy_runs_over_one_catalog(self, ctx, catalog):
         dividend, divisor = make_exact_division(4, 4)
-        stored_r = catalog.store(dividend, name="R")
-        stored_s = catalog.store(divisor, name="S")
+        catalog.store(dividend, name="R")
+        catalog.store(divisor, name="S")
         for strategy in STRATEGIES:
-            plan = build_strategy_plan(
-                strategy,
-                StoredRelationScan(ctx, stored_r),
-                StoredRelationScan(ctx, stored_s),
-                expected_divisor=4,
-                expected_quotient=4,
-            )
-            from repro.executor.iterator import run_to_relation
-
-            assert len(run_to_relation(plan)) == 4
+            run = run_strategy(strategy, ctx, catalog, "R", "S", expected_quotient=4)
+            assert run.quotient_tuples == 4, strategy
 
 
 class TestClockInjection:

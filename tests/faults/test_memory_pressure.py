@@ -26,31 +26,31 @@ class TestPoolHooks:
         with pytest.raises(MemoryPoolError, match="injected"):
             pool.allocate(64, "divisor-table")
         # One-shot: the next allocation succeeds.
-        handle = pool.allocate(64, "divisor-table")
-        pool.free(handle)
+        pool.allocate(64, "divisor-table")
+        pool.free_all("divisor-table")
 
     def test_tag_scoped_exhaust_spares_other_tags(self):
         pool = MemoryPool(budget=1 << 20)
         pool.injector = FaultInjector(
             [FaultRule("exhaust", tag="quotient")], seed=0
         )
-        handle = pool.allocate(64, "divisor-table")  # not matched
+        pool.allocate(64, "divisor-table")  # not matched
         with pytest.raises(MemoryPoolError):
             pool.allocate(64, "quotient-table")
-        pool.free(handle)
+        pool.free_all("divisor-table")
 
     def test_pressure_shrinks_the_budget(self):
         pool = MemoryPool(budget=1000)
         pool.injector = FaultInjector(
             [FaultRule("pressure", max_fires=1, pressure_factor=0.5)], seed=0
         )
-        handle = pool.allocate(100, "build")
+        pool.allocate(100, "build")
         assert pool.budget == 500
         assert pool.pressure_events == 1
         # Later allocations overflow the shrunken budget.
         with pytest.raises(MemoryPoolError, match="exhausted"):
             pool.allocate(600, "build")
-        pool.free(handle)
+        pool.free_all("build")
 
     def test_pressure_on_unbounded_pool_installs_a_budget(self):
         pool = MemoryPool(budget=None)
@@ -69,8 +69,8 @@ class TestPoolHooks:
     def test_no_injector_allocations_unaffected(self):
         pool = MemoryPool(budget=1000)
         assert pool.injector is None
-        handle = pool.allocate(500, "build")
-        pool.free(handle)
+        pool.allocate(500, "build")
+        pool.free_all("build")
         assert pool.bytes_in_use == 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import DivisionError
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.plan.physical import (
@@ -54,7 +54,7 @@ class TestBuildDivisionOperator:
 
     def test_unknown_strategy_rejected(self, ctx):
         dividend_scan, divisor_scan, *_ = inputs(ctx, [], [(1,)])
-        with pytest.raises(ExperimentError):
+        with pytest.raises(DivisionError, match="unknown strategy"):
             build_division_operator("quantum", dividend_scan, divisor_scan)
 
 

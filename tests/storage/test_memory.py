@@ -9,10 +9,10 @@ from repro.storage.memory import MemoryPool
 class TestAllocation:
     def test_allocate_and_free(self):
         pool = MemoryPool(budget=100)
-        handle = pool.allocate(40, tag="t")
+        pool.allocate(40, tag="t")
         assert pool.bytes_in_use == 40
         assert pool.bytes_free == 60
-        pool.free(handle)
+        pool.free_all("t")
         assert pool.bytes_in_use == 0
 
     def test_budget_enforced(self):
@@ -40,12 +40,6 @@ class TestAllocation:
         with pytest.raises(MemoryPoolError):
             MemoryPool(budget=0)
 
-    def test_double_free_rejected(self):
-        pool = MemoryPool()
-        handle = pool.allocate(10)
-        pool.free(handle)
-        with pytest.raises(MemoryPoolError):
-            pool.free(handle)
 
 
 class TestTaggedRelease:
@@ -57,6 +51,8 @@ class TestTaggedRelease:
         released = pool.free_all(tag="divisor")
         assert released == 40
         assert pool.bytes_in_use == 20
+        assert dict(pool.live_tags) == {"quotient": 20}
+        assert pool.free_all(tag="divisor") == 0
 
     def test_free_all_everything(self):
         pool = MemoryPool()
@@ -64,14 +60,22 @@ class TestTaggedRelease:
         pool.allocate(20)
         assert pool.free_all() == 30
         assert pool.bytes_in_use == 0
+        assert not pool.live_tags
+
+    def test_live_tags_is_read_only(self):
+        pool = MemoryPool()
+        pool.allocate(10, tag="divisor")
+        with pytest.raises(TypeError):
+            pool.live_tags["divisor"] = 0
+        assert pool.live_tags["divisor"] == 10
 
 
 class TestStats:
     def test_peak_tracking(self):
         pool = MemoryPool()
-        a = pool.allocate(100)
+        pool.allocate(100, tag="a")
         pool.allocate(50)
-        pool.free(a)
+        pool.free_all("a")
         pool.allocate(10)
         assert pool.stats.peak_bytes == 150
 

@@ -52,17 +52,17 @@ class TestGenerator:
         expected = algebra.divide_set_semantics(
             workload.enrollment_dividend(), workload.all_courses_divisor()
         )
-        for algorithm in ("hash", "naive"):
+        for strategy in ("hash-division", "naive"):
             got = divide(
                 workload.enrollment_dividend(),
                 workload.all_courses_divisor(),
-                algorithm=algorithm,
+                strategy=strategy,
             )
             assert got.set_equal(expected)
 
     def test_second_example_query_needs_join(self):
         """The paper's second example: divisor restricted to database
-        courses, so counting strategies require with_join=True."""
+        courses, so counting strategies require the join."""
         workload = make_university(
             students=30, courses=8, database_courses=3, completionists=4, seed=2
         )
@@ -70,9 +70,9 @@ class TestGenerator:
         divisor = workload.database_courses_divisor()
         expected = algebra.divide_set_semantics(dividend, divisor)
         assert divide(dividend, divisor).set_equal(expected)
-        assert divide(
-            dividend, divisor, algorithm="hash-aggregate", with_join=True
-        ).set_equal(expected)
+        assert divide(dividend, divisor, strategy="hash-agg with join").set_equal(
+            expected
+        )
 
     def test_determinism_per_seed(self):
         a = make_university(10, 5, 2, 1, seed=42)
