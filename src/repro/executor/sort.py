@@ -46,11 +46,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.executor.iterator import BufferedIterator, QueryIterator
-from repro.relalg.schema import Schema
+from repro.relalg.schema import DataType, Schema
 from repro.relalg.tuples import Row, projector
 from repro.storage.heapfile import HeapFile
 
@@ -93,6 +94,25 @@ def count_reducer(input_schema: Schema, group_names: Sequence[str]) -> Reducer:
     return Reducer(output_schema, init, combine)
 
 
+def _sort_key(schema: Schema, names: Sequence[str]) -> Callable[[Row], object] | None:
+    """The cheapest sort key that orders and groups rows as
+    ``projector(schema, names)`` does, for ``list.sort``, ``bisect``
+    and equal-key tests.
+
+    ``None`` (compare whole rows) when the key is the whole row, and
+    ``itemgetter`` for one attribute: a scalar orders and compares as
+    its 1-tuple does.  A ``FLOAT64`` attribute keeps its 1-tuple, since
+    ``(nan,) == (nan,)`` holds for one NaN object but ``nan == nan``
+    does not, and equal keys must still group as before.
+    """
+    positions = schema.positions_of(names)
+    if positions == tuple(range(len(schema))):
+        return None
+    if len(positions) == 1 and schema[positions[0]].dtype is not DataType.FLOAT64:
+        return itemgetter(positions[0])
+    return projector(schema, names)
+
+
 class ExternalSort(BufferedIterator):
     """Sort (and optionally aggregate) the input on ``key_names``.
 
@@ -125,7 +145,7 @@ class ExternalSort(BufferedIterator):
         self.distinct = distinct
         self.reducer = reducer
         self._codec = schema.codec()
-        self._key = projector(schema, self.key_names)
+        self._key = _sort_key(schema, self.key_names)
         self._runs: list[HeapFile] = []
         self._merge: _RunMerge | None = None
         self.merge_passes_performed = 0
@@ -210,10 +230,10 @@ class ExternalSort(BufferedIterator):
             return sorted_rows
         out: list[Row] = [sorted_rows[0]]
         key, reducer = self._key, self.reducer
-        last_key = key(sorted_rows[0])
+        keys = iter(sorted_rows if key is None else map(key, sorted_rows))
+        last_key = next(keys)
         self.ctx.cpu.comparisons += len(sorted_rows) - 1
-        for row in islice(sorted_rows, 1, None):
-            row_key = key(row)
+        for row, row_key in zip(islice(sorted_rows, 1, None), keys):
             if row_key == last_key:
                 if reducer is not None:
                     out[-1] = reducer.combine(out[-1], row)
@@ -260,7 +280,7 @@ class ExternalSort(BufferedIterator):
         # _open's failure handler finds (and destroys) the partial run
         # instead of leaking its pages.
         self._runs.append(run)
-        run.append_many(map(self._codec.encode, rows))
+        run.append_rows(rows, self._codec)
         self.runs_spilled += 1
         self.run_lengths.append(len(rows))
         tracer = self.ctx.tracer
@@ -284,13 +304,13 @@ class ExternalSort(BufferedIterator):
                 next_runs.append(out)
                 # A stretch fixes no input page, so appending it at once
                 # fixes pages in the order appending row by row would.
-                encode, cpu = self._codec.encode, self.ctx.cpu
+                codec, cpu = self._codec, self.ctx.cpu
                 while True:
                     rows, charges = merge.stretch()
                     if not rows:
                         break
                     cpu.comparisons += sum(charges)
-                    out.append_many(map(encode, rows))
+                    out.append_rows(rows, codec)
                 for run in group:
                     run.destroy()
         except BaseException:
@@ -357,9 +377,12 @@ class _RunMerge:
                 out, self._pending = [self._pending], None
                 return out, [charge]
             key = self._key
+            lasts = [head.rows[-1] for head in heads]
+            if key is not None:
+                lasts = list(map(key, lasts))
             # min() keeps the first of equal keys: the lowest run index.
-            dry = min(range(len(heads)), key=lambda i: key(heads[i].rows[-1]))
-            last = key(heads[dry].rows[-1])
+            dry = min(range(len(heads)), key=lasts.__getitem__)
+            last = lasts[dry]
             merged: list[Row] = []
             for index, head in enumerate(heads):
                 rows, start = head.rows, head.start
@@ -392,12 +415,11 @@ class _RunMerge:
             pending, folded = merged[-1], 1
         else:
             key, reducer, per_row = self._key, self._reducer, per_pop + 1
-            pending_key = key(pending) if pending is not None else None
-            for row in merged:
+            pending_key = pending if key is None or pending is None else key(pending)
+            for row, row_key in zip(merged, merged if key is None else map(key, merged)):
                 if pending is None:
-                    pending, pending_key, folded = row, key(row), 1
+                    pending, pending_key, folded = row, row_key, 1
                     continue
-                row_key = key(row)
                 if row_key == pending_key:
                     if reducer is not None:
                         pending = reducer.combine(pending, row)

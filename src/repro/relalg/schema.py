@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
@@ -189,17 +191,19 @@ class RecordCodec:
     Records are packed with ``struct`` using little-endian layout and
     no padding, so a divisor schema of one ``INT64`` yields exactly the
     paper's 8-byte records and a two-integer dividend schema yields
-    16-byte records.
+    16-byte records.  A string whose UTF-8 encoding is longer than its
+    attribute's width is refused, not cut.
     """
 
-    __slots__ = ("schema", "_struct", "_string_positions")
+    __slots__ = ("schema", "_struct", "_format", "_strings")
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        fmt = "<" + "".join(a.struct_format for a in schema)
-        self._struct = struct.Struct(fmt)
-        self._string_positions = tuple(
-            i for i, a in enumerate(schema) if a.dtype is DataType.STRING
+        self._format = "".join(a.struct_format for a in schema)
+        self._struct = struct.Struct("<" + self._format)
+        #: ``(position, attribute)`` of every STRING attribute.
+        self._strings = tuple(
+            (i, a) for i, a in enumerate(schema) if a.dtype is DataType.STRING
         )
 
     @property
@@ -213,15 +217,43 @@ class RecordCodec:
             raise SchemaError(
                 f"tuple arity {len(row)} does not match schema arity {len(self.schema)}"
             )
-        if not self._string_positions:
+        if not self._strings:
             return self._struct.pack(*row)
         values = list(row)
-        for position in self._string_positions:
+        for position, attribute in self._strings:
             value = values[position]
             if isinstance(value, str):
                 value = value.encode("utf-8")
+            if isinstance(value, (bytes, bytearray)) and len(value) > attribute.size:
+                raise _too_wide(attribute, len(value))
             values[position] = value
         return self._struct.pack(*values)
+
+    def pack_rows(self, rows: Sequence[tuple]) -> bytes:
+        """Pack ``rows`` back to back with one cached ``struct.Struct``.
+
+        The bytes are those of :meth:`encode` of each row, joined.  When
+        :meth:`encode` would refuse any row, this raises too, but not
+        necessarily the same error: encode the rows one by one to learn
+        which row it is and its error.
+        """
+        arity = len(self.schema)
+        if set(map(len, rows)) - {arity}:
+            raise SchemaError(f"a tuple's arity does not match schema arity {arity}")
+        packer = _repeated_struct(self._format, len(rows))
+        if not self._strings:
+            return packer.pack(*chain.from_iterable(rows))
+        values = list(chain.from_iterable(rows))
+        for position, attribute in self._strings:
+            column = [
+                value.encode("utf-8") if isinstance(value, str) else value
+                for value in values[position::arity]
+            ]
+            longest = max(map(len, column), default=0)
+            if longest > attribute.size:
+                raise _too_wide(attribute, longest)
+            values[position::arity] = column
+        return packer.pack(*values)
 
     def decode(self, record: bytes | memoryview) -> tuple:
         """Unpack one binary record back into a Python tuple.
@@ -230,7 +262,7 @@ class RecordCodec:
         decoded as UTF-8.
         """
         values = self._struct.unpack(record)
-        if not self._string_positions:
+        if not self._strings:
             return values
         return self._strip_strings(values)
 
@@ -241,12 +273,26 @@ class RecordCodec:
         tuples equal :meth:`decode` of each record.
         """
         rows = page.unpack_records(self._struct)
-        if not self._string_positions:
+        if not self._strings:
             return rows
         return [self._strip_strings(values) for values in rows]
 
     def _strip_strings(self, values: tuple) -> tuple:
         out = list(values)
-        for position in self._string_positions:
+        for position, _attribute in self._strings:
             out[position] = out[position].rstrip(b"\x00").decode("utf-8")
         return tuple(out)
+
+
+@lru_cache(maxsize=128)
+def _repeated_struct(record_format: str, count: int) -> struct.Struct:
+    """A ``struct.Struct`` packing ``count`` records of ``record_format``
+    (a little-endian format without its byte-order prefix) back to back."""
+    return struct.Struct("<" + record_format * count)
+
+
+def _too_wide(attribute: Attribute, length: int) -> SchemaError:
+    return SchemaError(
+        f"attribute {attribute.name!r} is {attribute.size} bytes wide; "
+        f"its value encodes to {length} bytes"
+    )

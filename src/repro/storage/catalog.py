@@ -124,8 +124,7 @@ class Catalog:
         if not stored_name:
             raise StorageError("relation needs a name to be stored")
         stored = self.create(stored_name, relation.schema)
-        encode = stored.codec.encode
-        stored.file.append_many(encode(row) for row in relation)
+        stored.file.append_rows(relation, stored.codec)
         stored.bump_version()
         if cold:
             self.pool.flush_device(self.disk.name)
@@ -150,7 +149,7 @@ class Catalog:
         the *versioned* write path: writes that bypass the catalog and
         mutate the heap file directly do not participate in the serve
         layer's cache-invalidation contract.  Rows are written a page
-        at a time (:meth:`HeapFile.append_many`).
+        at a time (:meth:`HeapFile.append_rows`).
 
         The version is bumped **even when the write fails** (a device
         fault mid-append may have applied a prefix of the rows): a
@@ -159,9 +158,8 @@ class Catalog:
         cache miss; a missed bump would serve a stale quotient.
         """
         stored = self.get(name)
-        encode = stored.codec.encode
         try:
-            stored.file.append_many(encode(row) for row in rows)
+            stored.file.append_rows(rows, stored.codec)
         finally:
             stored.bump_version()
         return stored.version

@@ -12,14 +12,16 @@ page access goes through the buffer pool; a scan fixes one page at a
 time and hands out record bytes.
 
 Writers and readers that need no record ids work a page at a time:
-:meth:`HeapFile.append_many` fixes the last page once per batch of
-records that fit on it, and :meth:`HeapFile.scan_pages` decodes a whole
-page while it is fixed.
+:meth:`HeapFile.append_rows` takes as many rows as fit the last page,
+packs them with one ``struct`` call and fixes the page once to copy
+them in, and :meth:`HeapFile.scan_pages` decodes a whole page while it
+is fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import RecordNotFoundError, StorageError
@@ -33,6 +35,15 @@ if TYPE_CHECKING:
 #: Pages allocated per extent.  Eight pages balances contiguity against
 #: space waste for the paper's small divisor files.
 DEFAULT_EXTENT_PAGES = 8
+
+_END = object()
+
+
+def _fitting(free: int, size: int) -> int:
+    """How many ``size``-byte records fit ``free`` bytes of a page's
+    free space (:attr:`SlottedPage.free_space`, which already reserves
+    the first record's slot)."""
+    return 0 if size > free else (free - size) // (size + SLOT_SIZE) + 1
 
 
 @dataclass(frozen=True, order=True)
@@ -105,40 +116,60 @@ class HeapFile:
         self._check_live()
         if self._pages:
             if len(record) <= self._tail_free:
-                return RecordId(self._pages[-1], self._fill_tail([record]))
+                return RecordId(self._pages[-1], self._fill_tail(record, 1))
             # Too large for the last page, which is still fixed once (a
-            # cold page is read back), as append_many does.
-            self._fill_tail([])
+            # cold page is read back), as append_rows does.
+            self._fill_tail(b"", 0)
         self._start_page()
-        return RecordId(self._pages[-1], self._fill_tail([record]))
+        return RecordId(self._pages[-1], self._fill_tail(record, 1))
 
-    def append_many(self, records: Iterable[bytes]) -> int:
-        """Append several records a page at a time; returns how many.
+    def append_rows(self, rows: Iterable[tuple], codec: RecordCodec) -> int:
+        """Append tuples a page at a time; returns how many.
 
-        Pulls the records that fit the last page, then fixes that page
-        once for all of them; the first record that does not fit starts
-        a new page.  Pages, buffer-pool misses, evictions and physical
-        I/O are those of calling :meth:`append` per record, as long as
-        pulling a record fixes no pages (rows already in memory).  A
-        source that reads pages as it goes should be appended per
+        Takes the rows that fit the last page, packs them with
+        :meth:`~repro.relalg.schema.RecordCodec.pack_rows` and fixes
+        the page once to copy them in; the next row starts a new page.
+        Pages, record ids, buffer-pool misses, evictions and physical
+        I/O are those of calling :meth:`append` with
+        :meth:`~repro.relalg.schema.RecordCodec.encode` of each row, as
+        long as pulling a row fixes no pages (rows already in memory).
+        A source that reads pages as it goes should be appended per
         record: batching it changes the LRU order of the pages.
+
+        When the source raises, or a row is refused (arity, type,
+        over-width string), the rows before it are written and the
+        error propagates, as it would record by record.
         """
         self._check_live()
-        records = iter(records)
-        count = 0
-        record = next(records, None)
-        if record is not None and self._pages:
-            batch, record = self._pull(record, records)
-            self._fill_tail(batch)
-            count += len(batch)
-        while record is not None:
-            self._start_page()
-            batch, record = self._pull(record, records)
-            # An empty batch means the record is too large for an empty
-            # page: inserting it alone raises the page's PageError.
-            self._fill_tail(batch or [record])
-            count += len(batch)
-        return count
+        rows = iter(rows)
+        size, count = codec.record_size, 0
+        while True:
+            room = _fitting(self._tail_free, size) if self._pages else 0
+            chunk = []
+            if not room:
+                row = next(rows, _END)
+                if row is _END:
+                    return count
+                codec.encode(row)  # a refused row fixes no page
+                if self._pages and not count:
+                    # A last page this call has not written is still
+                    # fixed once, as append()'s fits probe fixes it.
+                    self._fill_tail(b"", 0)
+                self._start_page()
+                room = _fitting(self._tail_free, size)
+                if not room:
+                    # Too large for an empty page: raises the page's PageError.
+                    self._fill_tail(codec.encode(row), 1)
+                chunk.append(row)
+            try:
+                chunk.extend(islice(rows, room - len(chunk)))
+            finally:
+                # Also when the source fails: keep what it yielded
+                # before, as appending record by record would have.
+                self._write_rows(chunk, codec)
+            count += len(chunk)
+            if len(chunk) < room:
+                return count
 
     def delete(self, rid: RecordId) -> None:
         """Delete the record at ``rid`` (tombstoned, space not reused)."""
@@ -270,55 +301,63 @@ class HeapFile:
         self._page_set.add(page_no)
         self._tail_free = free
 
-    def _pull(self, record: bytes, records: Iterator[bytes]) -> tuple[list[bytes], bytes | None]:
-        """Pull ``record`` and its successors while they fit the last
-        page; returns them and the first record that does not fit
-        (``None`` once ``records`` is exhausted)."""
-        batch, free = [], self._tail_free
+    def _write_rows(self, chunk: list[tuple], codec: RecordCodec) -> None:
+        """Pack ``chunk`` (rows that fit the last page) into it.
+
+        If the codec refuses a row, the rows before it are written and
+        :meth:`~repro.relalg.schema.RecordCodec.encode`'s error for it
+        propagates.
+        """
+        if not chunk:
+            return
         try:
-            while record is not None and (length := len(record)) <= free:
-                batch.append(record)
-                # What SlottedPage.free_space reads once the record is in.
-                free -= length + SLOT_SIZE
-                if free < 0:
-                    free = 0
-                record = next(records, None)
-        except BaseException:
-            # The source failed: keep what it yielded before, as
-            # appending record by record would have.
-            if batch:
-                self._fill_tail(batch)
+            data = codec.pack_rows(chunk)
+        except Exception:
+            # pack_rows does not say which row failed or always raise
+            # encode's error; encoding row by row finds both.
+            encoded: list[bytes] = []
+            try:
+                for row in chunk:
+                    encoded.append(codec.encode(row))
+            finally:
+                if encoded:
+                    self._fill_tail(b"".join(encoded), len(encoded))
             raise
-        return batch, record
+        self._fill_tail(data, len(chunk))
 
-    def _fill_tail(self, batch: list[bytes]) -> int:
-        """Insert ``batch`` into the last page under one fix; returns
-        the slot of the last record (the page's last slot).
+    def _fill_tail(self, data: bytes, count: int) -> int:
+        """Insert ``count`` equal-length records, packed back to back in
+        ``data``, into the last page under one fix; returns the slot of
+        the last record (the page's last slot).
 
-        A record the page refuses raises :class:`PageError`.  When the
+        Records the page cannot hold raise :class:`PageError`.  When the
         fix grew the pool past its buffer size, the unfix that follows
         evicts; record at a time, that unfix comes after the first
         record, so the first record then gets a fix of its own and every
         eviction happens with the page in the same state.
         """
         device, page_no = self.disk.name, self._pages[-1]
+        size = len(data) // count if count else 0
         done = 0
         while True:
             view = self.pool.fix(device, page_no)
-            end = min(len(batch), done + 1) if self.pool.over_target else len(batch)
-            inserted = 0
+            end = min(count, done + 1) if self.pool.over_target else count
+            written = False
             try:
                 page = SlottedPage(view)
-                inserted = page.insert_many(batch[done:end])
-                self._record_count += inserted
+                if end > done:
+                    part = data
+                    if end - done < count:  # split by the over-target rule
+                        part = memoryview(data)[done * size : end * size]
+                    page.insert_packed(part, end - done)
+                    written = True
+                    self._record_count += end - done
                 self._tail_free = page.free_space
                 last_slot = page.slot_count - 1
-                if done + inserted < end:
-                    page.insert(batch[done + inserted])  # raises insert's PageError
             finally:
-                self.pool.unfix(device, page_no, dirty=inserted > 0)
+                self.pool.unfix(device, page_no, dirty=written)
             done = end
-            if done == len(batch):
+            if done == count:
                 return last_slot
 
     def _check_live(self) -> None:

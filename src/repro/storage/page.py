@@ -14,10 +14,11 @@ space).  Each slot directory entry holds the record's ``offset`` and
 ``length`` (u16 each); a deleted slot has offset ``0xFFFF``.
 
 Besides the per-record accessors, a page works a batch at a time:
-:meth:`SlottedPage.insert_many` writes several records and the header
-once, and :meth:`SlottedPage.unpack_records` decodes every live record,
-with one ``iter_unpack`` when the slot directory shows the dense layout
-of sequential inserts.
+:meth:`SlottedPage.insert_packed` copies in several equal-length
+records, packed back to back, with one slice assignment and writes the
+header once, and :meth:`SlottedPage.unpack_records` decodes every live
+record, with one ``iter_unpack`` when the slot directory shows the
+dense layout of sequential inserts.
 
 The page operates directly on a caller-supplied ``bytearray`` -- in
 practice a buffer-pool frame -- so record accessors hand out
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import PageError, RecordNotFoundError
 
@@ -42,17 +43,23 @@ HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
 
 
+def _directory(start: int, slot_count: int, record_size: int) -> bytes:
+    """Directory entries for ``slot_count`` records of ``record_size``
+    bytes stored back to back from offset ``start``.  The directory
+    grows downward, so the last slot's entry comes first."""
+    entries = []
+    for slot in reversed(range(slot_count)):
+        entries += (start + slot * record_size, record_size)
+    return struct.pack(f"<{2 * slot_count}H", *entries)
+
+
 @lru_cache(maxsize=256)
 def _dense_directory(slot_count: int, record_size: int) -> bytes:
     """The slot directory sequential inserts of ``slot_count`` records of
-    ``record_size`` bytes produce: back to back from the header, none
-    deleted.  The directory grows downward, so the last slot's entry
-    comes first.  (Bytes, not a tuple of ints: a cached tuple's int
-    objects pin allocator arenas and raised peak RSS.)"""
-    entries = []
-    for slot in reversed(range(slot_count)):
-        entries += (HEADER_SIZE + slot * record_size, record_size)
-    return struct.pack(f"<{2 * slot_count}H", *entries)
+    ``record_size`` bytes produce on a fresh page: back to back from the
+    header, none deleted.  (Bytes, not a tuple of ints: a cached tuple's
+    int objects pin allocator arenas and raised peak RSS.)"""
+    return _directory(HEADER_SIZE, slot_count, record_size)
 
 
 class SlottedPage:
@@ -137,47 +144,42 @@ class SlottedPage:
                 :meth:`fits` or handle the error by allocating a new
                 page).
         """
-        length = len(record)
-        if length >= _TOMBSTONE:
-            raise PageError(f"record of {length} bytes exceeds slotted-page limit")
-        if not self.fits(length):
-            raise PageError(
-                f"record of {length} bytes does not fit ({self.free_space} free)"
-            )
-        self.insert_many((record,))
+        self.insert_packed(record, 1)
         return self.slot_count - 1
 
-    def insert_many(self, records: Sequence[bytes]) -> int:
-        """Insert ``records`` in order; returns how many were inserted.
+    def insert_packed(self, data: bytes | memoryview, count: int) -> None:
+        """Insert ``count`` records of equal length, packed back to back
+        in ``data``, in order.
 
-        Each record gets the checks :meth:`insert` makes; the first one
-        :meth:`insert` would refuse ends the batch (nothing after it is
-        inserted) instead of raising.  The records are copied in with
-        one slice assignment and their directory entries with one pack,
-        and the header is written once.
+        The page ends as inserting each record with :meth:`insert` would
+        leave it.  The records are copied in with one slice assignment;
+        the directory entries of a fresh page are the cached dense
+        directory, and the header is written once.
+
+        Raises:
+            PageError: when not all of them fit; nothing is written.
         """
+        if not count:
+            return
+        length = len(data) // count
+        if length >= _TOMBSTONE:
+            raise PageError(f"record of {length} bytes exceeds slotted-page limit")
         buf = self._buf
         slot_count, free_offset = _HEADER.unpack_from(buf, 0)
-        start = free_offset
-        directory = self.page_size - slot_count * SLOT_SIZE
-        entries: list[int] = []  # (length, offset) pairs in slot order
-        for record in records:
-            length = len(record)
-            free = directory - free_offset - SLOT_SIZE
-            if length >= _TOMBSTONE or length > (free if free > 0 else 0):
-                break
-            directory -= SLOT_SIZE
-            entries.append(length)
-            entries.append(free_offset)
-            free_offset += length
-        inserted = len(entries) // 2
-        if inserted:
-            buf[start:free_offset] = b"".join(records[:inserted])
-            # The directory grows downward: the newest slot comes first.
-            entries.reverse()
-            struct.pack_into(f"<{len(entries)}H", buf, directory, *entries)
-            self._set_header(slot_count + inserted, free_offset)
-        return inserted
+        directory = self.page_size - (slot_count + count) * SLOT_SIZE
+        end = free_offset + count * length
+        if end > directory:
+            free = self.free_space
+            if count == 1:
+                raise PageError(f"record of {length} bytes does not fit ({free} free)")
+            raise PageError(f"{count} records of {length} bytes do not fit ({free} free)")
+        buf[free_offset:end] = data
+        if slot_count == 0:
+            entries = _dense_directory(count, length)
+        else:
+            entries = _directory(free_offset, count, length)
+        buf[directory : directory + count * SLOT_SIZE] = entries
+        self._set_header(slot_count + count, end)
 
     def get(self, slot: int) -> memoryview:
         """Zero-copy view of the record in ``slot``.

@@ -31,7 +31,7 @@ class TestTempFileScan:
         schema = Relation.of_ints(("a",), []).schema
         codec = schema.codec()
         file = ctx.temp_file("temp")
-        file.append_many(codec.encode((i,)) for i in range(5))
+        file.append_rows(((i,) for i in range(5)), codec)
         plan = TempFileScan(ctx, file, schema)
         assert run_to_relation(plan).rows == [(i,) for i in range(5)]
         # Not destroyed: scan again.

@@ -8,6 +8,8 @@ from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort, count_reducer
 from repro.relalg.relation import Relation
+from repro.relalg.schema import Attribute, DataType, Schema
+from repro.relalg.tuples import projector
 from repro.storage.config import StorageConfig
 
 rows_strategy = st.lists(
@@ -66,3 +68,57 @@ def test_count_reducer_matches_counter(rows):
         (row[0],): row[1] for row in result.rows
     }
     assert [row[0] for row in result.rows] == sorted(expected)
+
+
+#: One NaN object, so equal-key tests see the same NaN twice.
+NAN = float("nan")
+KEY_ATTRIBUTES = {
+    "int": Attribute("k"),
+    "string": Attribute("k", DataType.STRING, 6),
+    "float": Attribute("k", DataType.FLOAT64),
+}
+KEY_VALUES = {
+    "int": st.integers(-5, 5),
+    "string": st.sampled_from(["", "a", "ab", "b", "é", "zz"]),
+    "float": st.sampled_from([-1.5, 0.0, 2.0, NAN]),
+}
+
+
+@st.composite
+def keyed_sorts(draw):
+    """A (k, v) relation with a key type and a sort: plain, distinct or
+    count-reducing, on one attribute, several, or the whole row."""
+    kind = draw(st.sampled_from(sorted(KEY_ATTRIBUTES)))
+    schema = Schema((KEY_ATTRIBUTES[kind], Attribute("v")))
+    rows = draw(st.lists(st.tuples(KEY_VALUES[kind], st.integers(-3, 3)), max_size=200))
+    mode = draw(st.sampled_from(["plain", "distinct", "reducer"]))
+    if mode == "reducer":
+        group = draw(st.sampled_from([["k"], ["v"], ["k", "v"]]))
+        return Relation(schema, rows), mode, group, group
+    keys = draw(st.sampled_from([["k"], ["v"], ["k", "v"], ["v", "k"]]))
+    return Relation(schema, rows), mode, keys, None
+
+
+def _run_sort(case, tuple_keys):
+    relation, mode, keys, group = case
+    ctx = spilling_ctx()
+    reducer = count_reducer(relation.schema, group) if group else None
+    sort = ExternalSort(
+        RelationSource(ctx, relation), keys, distinct=mode == "distinct", reducer=reducer
+    )
+    if tuple_keys:
+        # The key every sort used before: a tuple per row, or the row.
+        sort._key = projector(sort.schema, keys)
+    rows = run_to_relation(sort).rows
+    # repr: rows decoded from runs hold fresh NaN objects, unequal to
+    # any other NaN.
+    return repr(rows), ctx.cpu.snapshot(), sort.runs_spilled, sort.merge_passes_performed
+
+
+@given(keyed_sorts())
+@settings(max_examples=100, deadline=None)
+def test_sort_keys_order_and_group_as_the_tuple_keys(case):
+    """Whole-row sorts compare rows, one-attribute sorts compare the
+    attribute (a FLOAT64 one its 1-tuple): rows, order and counters
+    are those of a tuple key per row."""
+    assert _run_sort(case, tuple_keys=False) == _run_sort(case, tuple_keys=True)

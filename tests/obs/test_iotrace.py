@@ -32,6 +32,7 @@ from repro.obs.iotrace import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
+from repro.relalg.schema import Attribute, DataType, Schema
 from repro.storage.catalog import Catalog
 from repro.storage.heapfile import HeapFile
 from repro.storage.stats import IoStatistics, IoWeights, _NullIoTraceSink
@@ -46,7 +47,8 @@ def traced_ctx(**kwargs) -> tuple[ExecContext, IoEventLog]:
 def drive_heapfile(ctx: ExecContext, records: int = 40) -> HeapFile:
     """Append records spanning several pages, then scan cold."""
     heap = HeapFile(ctx.pool, ctx.data_disk, name="drive")
-    heap.append_many(bytes([i % 251]) * 600 for i in range(records))
+    codec = Schema((Attribute("r", DataType.STRING, 600),)).codec()
+    heap.append_rows(((bytes([i % 251]) * 600,) for i in range(records)), codec)
     ctx.pool.flush_device(ctx.data_disk.name)
     ctx.pool.drop_device_pages(ctx.data_disk.name)
     for _rid, _record in heap.scan():
@@ -160,7 +162,8 @@ class TestConservation:
         ctx, log = traced_ctx()
         for kind in ("temp", "runs"):
             f = ctx.temp_file(kind)
-            f.append_many(b"r" * 64 for _ in range(50))
+            codec = Schema((Attribute("r", DataType.STRING, 64),)).codec()
+            f.append_rows([(b"r" * 64,)] * 50, codec)
             f.flush()
         report = verify_conservation(log, ctx.io_stats)
         assert report.ok, str(report)

@@ -15,6 +15,7 @@ from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort
 from repro.obs.iotrace import IoEventLog, replay_cost_ms, verify_conservation
 from repro.relalg.relation import Relation
+from repro.relalg.schema import Attribute, DataType, Schema
 from repro.storage.config import KIB, StorageConfig
 from repro.storage.heapfile import HeapFile
 
@@ -35,6 +36,11 @@ ops = st.lists(
 )
 
 
+def _bytes_codec(width):
+    """Codec of one-string records ``width`` bytes long."""
+    return Schema((Attribute("r", DataType.STRING, width),)).codec()
+
+
 @given(ops)
 @settings(max_examples=40, deadline=None)
 def test_heapfile_workloads_conserve(operations):
@@ -44,7 +50,7 @@ def test_heapfile_workloads_conserve(operations):
     for code, size in operations:
         if code == 0 or not files:  # append to a (possibly new) file
             heap = HeapFile(ctx.pool, ctx.data_disk, name=f"h{len(files)}")
-            heap.append_many(b"x" * 200 for _ in range(size))
+            heap.append_rows([(b"x" * 200,)] * size, _bytes_codec(200))
             files.append(heap)
         elif code == 1:  # flush + cold scan
             heap = files[size % len(files)]
@@ -53,7 +59,7 @@ def test_heapfile_workloads_conserve(operations):
             for _ in heap.scan():
                 pass
         elif code == 2:  # grow an existing file
-            files[size % len(files)].append_many(b"y" * 150 for _ in range(size))
+            files[size % len(files)].append_rows([(b"y" * 150,)] * size, _bytes_codec(150))
         else:  # destroy one (dirty pages dropped, not written)
             heap = files.pop(size % len(files))
             heap.destroy()

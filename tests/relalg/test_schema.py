@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import SchemaError
+from repro.executor.iterator import ExecContext
+from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, DataType, Schema
+from repro.storage.catalog import Catalog
 
 
 class TestAttribute:
@@ -129,3 +132,49 @@ class TestRecordCodec:
         codec = Schema.of_ints("a").codec()
         for value in (0, -1, 2**62, -(2**62)):
             assert codec.decode(codec.encode((value,))) == (value,)
+
+    def test_pack_rows_equals_joined_encodes(self):
+        schema = Schema((Attribute("n"), Attribute("name", DataType.STRING, 6)))
+        codec = schema.codec()
+        rows = [(1, "Ann"), (-2, "é€"), (3, b"raw"), (4, "")]
+        assert codec.pack_rows(rows) == b"".join(map(codec.encode, rows))
+
+
+class TestStringWidth:
+    """A string longer than its attribute's width is refused, never cut."""
+
+    SCHEMA = Schema((Attribute("n"), Attribute("name", DataType.STRING, 4)))
+
+    def _refused(self, row):
+        codec = self.SCHEMA.codec()
+        with pytest.raises(SchemaError, match=r"'name' is 4 bytes wide; .* encodes to \d+ bytes"):
+            codec.encode(row)
+        with pytest.raises(SchemaError, match="'name' is 4 bytes wide"):
+            codec.pack_rows([(0, "ok"), row])
+
+    def test_over_width_rejected(self):
+        self._refused((1, "abcdefg"))
+        self._refused((1, b"abcde"))
+
+    def test_ascii_at_full_width_round_trips(self):
+        codec = self.SCHEMA.codec()
+        assert codec.decode(codec.encode((1, "abcd"))) == (1, "abcd")
+        assert codec.decode(codec.pack_rows([(1, "abcd")])) == (1, "abcd")
+
+    def test_split_code_point_rejected(self):
+        # 'aaa€' is 6 UTF-8 bytes: cut to 4 it would end mid-character
+        # and fail to decode later.
+        self._refused((1, "aaa€"))
+        codec = self.SCHEMA.codec()
+        assert codec.decode(codec.encode((1, "a€"))) == (1, "a€")
+
+    def test_stored_copy_is_not_truncated(self):
+        ctx = ExecContext()
+        try:
+            catalog = Catalog(ctx.pool, ctx.data_disk)
+            relation = Relation(self.SCHEMA, [(1, "abcdefg"), (2, "abcdxyz")], name="r")
+            with pytest.raises(SchemaError, match="encodes to 7 bytes"):
+                catalog.store(relation)
+            assert catalog.get("r").record_count == 0
+        finally:
+            ctx.close()

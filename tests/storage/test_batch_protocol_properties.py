@@ -103,7 +103,8 @@ class _HeapMerge:
     charging as it pops."""
 
     def __init__(self, sort, runs):
-        key, cpu, reducer = sort._key, sort.ctx.cpu, sort.reducer
+        # The sort's key is None when it orders whole rows.
+        key, cpu, reducer = sort._key or (lambda row: row), sort.ctx.cpu, sort.reducer
         per_pop = max(1, math.ceil(math.log2(max(2, len(runs)))))
         collapse = sort.distinct or reducer is not None
         merged = heapq.merge(*(run.scan_tuples(sort._codec) for run in runs), key=key)

@@ -48,10 +48,10 @@ class TestVersionCounter:
     def test_failed_insert_still_bumps(self, catalog, stored, monkeypatch):
         # A device fault mid-append may have applied a prefix of the
         # rows: the stored bytes may differ, so caches must die.
-        def broken(records):
+        def broken(rows, codec):
             raise StorageError("device fault mid-append")
 
-        monkeypatch.setattr(stored.file, "append_many", broken)
+        monkeypatch.setattr(stored.file, "append_rows", broken)
         with pytest.raises(StorageError):
             catalog.insert_rows("transcript", [(9, 10)])
         assert catalog.version("transcript") == 2

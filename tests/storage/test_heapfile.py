@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import RecordNotFoundError, StorageError
+from repro.relalg.schema import Attribute, DataType, Schema
 from repro.storage.buffer import BufferPool
 from repro.storage.config import StorageConfig
 from repro.storage.disk import SimulatedDisk
@@ -43,9 +44,10 @@ class TestAppendGet:
             file.append(bytes([i]) * 16)
         assert file.page_count > 1
 
-    def test_append_many(self):
+    def test_append_rows(self):
         file, _, _ = make_file()
-        count = file.append_many(bytes([i]) for i in range(5))
+        codec = Schema((Attribute("r", DataType.STRING, 1),)).codec()
+        count = file.append_rows(((bytes([i]),) for i in range(5)), codec)
         assert count == 5
         assert file.record_count == 5
 

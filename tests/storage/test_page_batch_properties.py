@@ -1,19 +1,25 @@
 """The page-at-a-time record path equals the record-at-a-time one.
 
-:meth:`HeapFile.append_many` fixes the last page once per batch and
+:meth:`HeapFile.append_rows` packs the rows that fit the last page with
+one ``struct`` call and fixes the page once, and
 :meth:`HeapFile.scan_tuples` decodes a whole page while it is fixed.
-Against :meth:`HeapFile.append` per record and :meth:`HeapFile.scan`
-plus :meth:`RecordCodec.decode` per record, these properties demand the
-same page bytes, rows and record-id order; the same I/O statistics and
-I/O event log; no frame left fixed after a :class:`PageError`; and,
-under the chaos storage config with injected disk faults, the same
-outcomes and the same fault schedule.
+Against :meth:`HeapFile.append` of :meth:`RecordCodec.encode` per row
+and :meth:`HeapFile.scan` plus :meth:`RecordCodec.decode` per record,
+these properties demand the same page bytes, rows and record-id order;
+the same I/O statistics and I/O event log; the same error, with the
+rows before it written, when the source fails or a row is refused; no
+frame left fixed after a :class:`PageError`; and, under the chaos
+storage config with injected disk faults, the same outcomes and the
+same fault schedule.  Files sit on the data device or the run device,
+with the chaos config's 512/256-byte pages or the default 8 KB data
+and 1 KB run pages, in a four-frame pool.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,31 +34,67 @@ from repro.faults.injector import FaultInjector, FaultRule, schedule_to_jsonl
 from repro.obs.iotrace import IoEventLog
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, DataType, Schema
+from repro.storage.buffer import BufferPool
 from repro.storage.catalog import Catalog
-from repro.storage.config import StorageConfig
-from repro.storage.heapfile import HeapFile
+from repro.storage.config import KIB, StorageConfig
+from repro.storage.heapfile import HeapFile, RecordId
 from repro.storage.page import SlottedPage
 
 INT_SCHEMA = Schema.of_ints("a", "b")
 STRING_SCHEMA = Schema((Attribute("a"), Attribute("name", DataType.STRING, 11)))
 #: 64-byte rows; projected onto ``a`` they shrink to 8 bytes.
 WIDE_SCHEMA = Schema((Attribute("a"), Attribute("pad", DataType.STRING, 56)))
+#: Records no 512-byte chaos page can hold.
+OVERSIZED_SCHEMA = Schema(
+    (Attribute("a"), Attribute("blob", DataType.STRING, CHAOS_CONFIG.page_size))
+)
 
-#: A record no 512-byte chaos page can hold.
-OVERSIZED = b"\x7f" * CHAOS_CONFIG.page_size
-#: A row of the wrong arity: encoding it raises SchemaError.
-BAD_ROW = (1,)
+CONFIGS = {
+    "chaos": CHAOS_CONFIG,
+    # The default page sizes (8 KB data, 1 KB runs) in four data frames.
+    "default-pages": StorageConfig(
+        page_size=8 * KIB,
+        sort_run_page_size=1 * KIB,
+        buffer_size=4 * 8 * KIB,
+        memory_limit=16 * 8 * KIB,
+        sort_buffer_size=4 * 8 * KIB,
+    ),
+}
 
-names = st.text(alphabet="abcxyz", max_size=11)
+
+class SourceFailed(Exception):
+    """Raised by a row source partway through."""
+
+
+#: Planted inside an insert, each of these fails the write there.
+BAD_ARITY = (1,)  # SchemaError
+NOT_AN_INT = ("x", 0)  # struct.error
+TOO_WIDE = (1, "€" * 4)  # 12 UTF-8 bytes: SchemaError for an 11-byte name
+SOURCE_FAILS = "source fails"  # the source raises SourceFailed
+PLANTS = [BAD_ARITY, NOT_AN_INT, TOO_WIDE, SOURCE_FAILS]
+
+
+def _utf8_prefix(text, width=11):
+    """The longest prefix of ``text`` whose UTF-8 encoding fits ``width``."""
+    return text.encode("utf-8")[:width].decode("utf-8", "ignore")
+
+
+#: Names of up to 11 UTF-8 bytes, with two- and three-byte characters.
+names = st.text(alphabet="abcxyzé€", max_size=11).map(_utf8_prefix)
 
 
 @st.composite
 def workloads(draw):
-    """A schema and a step list: inserts, deletes, reads and evictions."""
+    """A file placement, a schema and a step list (inserts, deletes,
+    reads and evictions), optionally with a failure planted in one
+    insert."""
+    config = draw(st.sampled_from(sorted(CONFIGS)))
+    device = draw(st.sampled_from(["data", "runs"]))
     schema = draw(st.sampled_from([INT_SCHEMA, STRING_SCHEMA]))
     value = st.integers(-(2**40), 2**40)
     row = st.tuples(value, value if schema is INT_SCHEMA else names)
-    insert = st.tuples(st.just("insert"), st.lists(row, max_size=120))
+    # Rows repeated up to 8 times: an insert can span 8 KB pages.
+    insert = st.tuples(st.just("insert"), st.lists(row, max_size=60), st.integers(1, 8))
     steps = draw(
         st.lists(
             st.one_of(
@@ -66,34 +108,38 @@ def workloads(draw):
             max_size=8,
         )
     )
-    # Optionally plant, inside one insert, a record no page can hold or
-    # a row the codec rejects (the record source fails mid-stream).
     inserts = [i for i, step in enumerate(steps) if step[0] == "insert"]
     planted = None
     if inserts and draw(st.booleans()):
         step = draw(st.sampled_from(inserts))
-        position = draw(st.integers(0, len(steps[step][1])))
-        planted = (step, position, draw(st.sampled_from([OVERSIZED, BAD_ROW])))
-    return schema, steps, planted
+        position = draw(st.integers(0, len(steps[step][1]) * steps[step][2]))
+        planted = (step, position, draw(st.sampled_from(PLANTS)))
+    return config, device, schema, steps, planted
 
 
-def _records(codec, step_index, rows, planted):
-    """Encode lazily, as Catalog.insert_rows does."""
+def _rows(step_index, rows, planted):
+    """The insert's rows, lazily, with the planted failure in place."""
     rows = list(rows)
     if planted is not None and planted[0] == step_index:
         rows.insert(planted[1], planted[2])
-    return (row if row is OVERSIZED else codec.encode(row) for row in rows)
+    for row in rows:
+        if row is SOURCE_FAILS:
+            raise SourceFailed("the source failed mid-page")
+        yield row
+
+
+def _append(heap, rows, codec, batched):
+    if batched:
+        heap.append_rows(rows, codec)
+    else:
+        for row in rows:
+            heap.append(codec.encode(row))
 
 
 def _apply(step, index, heap, other, codec, planted, batched):
     kind = step[0]
     if kind == "insert":
-        records = _records(codec, index, step[1], planted)
-        if batched:
-            heap.append_many(records)
-        else:
-            for record in records:
-                heap.append(record)
+        _append(heap, _rows(index, step[1] * step[2], planted), codec, batched)
         return heap.record_count
     if kind == "delete":
         victims = [rid for rid, rec in heap.scan() if codec.decode(rec)[0] % step[1] == 0]
@@ -107,28 +153,28 @@ def _apply(step, index, heap, other, codec, planted, batched):
     # "evict": writing the other file fills the pool with dirty pages
     # and pushes this one's out.
     assert kind == "evict", kind
-    filler = [codec.encode(row) for row in _filler(codec.schema)]
-    if batched:
-        other.append_many(filler)
-    else:
-        for record in filler:
-            other.append(record)
+    _append(other, _filler(codec.schema, other.disk.page_size), codec, batched)
     return other.record_count
 
 
-def _filler(schema):
-    return [(i, i if schema is INT_SCHEMA else "pad") for i in range(100)]
+def _filler(schema, page_size):
+    """Rows enough for five data pages: more than the pool's frames."""
+    count = 5 * SlottedPage.capacity_for(page_size, schema.record_size)
+    return [(i, i if schema is INT_SCHEMA else "pad") for i in range(count)]
 
 
-def run(schema, steps, planted, batched, rules=(), fault_seed=0):
-    """Apply ``steps`` to a fresh heap file; returns every observable."""
+def run(workload, batched, rules=(), fault_seed=0):
+    """Apply the workload's steps to a fresh heap file; returns every
+    observable."""
+    config, device, schema, steps, planted = workload
     trace = IoEventLog(capacity=1_000_000)
-    ctx = ExecContext(config=CHAOS_CONFIG, io_trace=trace)
+    ctx = ExecContext(config=CONFIGS[config], io_trace=trace)
     codec = schema.codec()
     try:
         other = HeapFile(ctx.pool, ctx.data_disk, name="other")
-        other.append_many(codec.encode(row) for row in _filler(schema))
-        heap = HeapFile(ctx.pool, ctx.data_disk, name="heap")
+        _append(other, _filler(schema, ctx.data_disk.page_size), codec, batched)
+        disk = ctx.data_disk if device == "data" else ctx.run_disk
+        heap = HeapFile(ctx.pool, disk, name="heap")
         injector = None
         if rules:
             injector = FaultInjector(rules, seed=fault_seed)
@@ -141,7 +187,7 @@ def run(schema, steps, planted, batched, rules=(), fault_seed=0):
                 continue
             try:
                 outcomes.append(_apply(step, index, heap, other, codec, planted, batched))
-            except ReproError as exc:
+            except (ReproError, struct.error, SourceFailed) as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
             assert ctx.pool.fixed_page_count() == 0, "frames left fixed"
         ctx.attach_fault_injector(None)
@@ -158,7 +204,7 @@ def run(schema, steps, planted, batched, rules=(), fault_seed=0):
         }
         try:
             observed["rids"] = [rid for rid, _ in heap.scan()]
-            observed["bytes"] = [_page_bytes(ctx, page) for page in heap.page_numbers]
+            observed["bytes"] = [_page_bytes(ctx, disk.name, page) for page in heap.page_numbers]
         except ReproError as exc:  # a persistent corruption stays visible
             observed["rids"] = (type(exc).__name__, str(exc))
         return observed
@@ -166,12 +212,20 @@ def run(schema, steps, planted, batched, rules=(), fault_seed=0):
         ctx.close()
 
 
-def _page_bytes(ctx, page_no):
-    view = ctx.pool.fix("data", page_no)
+def _page_bytes(ctx, device, page_no):
+    view = ctx.pool.fix(device, page_no)
     try:
         return bytes(view)
     finally:
-        ctx.pool.unfix("data", page_no)
+        ctx.pool.unfix(device, page_no)
+
+
+def _equal_paths(workload):
+    """Runs the workload both ways, asserts they agree, and returns the
+    page-at-a-time observables."""
+    batched = run(workload, batched=True)
+    assert batched == run(workload, batched=False)
+    return batched
 
 
 SETTINGS = settings(
@@ -182,41 +236,117 @@ SETTINGS = settings(
 @given(workloads())
 @SETTINGS
 def test_page_path_equals_record_path(workload):
-    schema, steps, planted = workload
-    batched = run(schema, steps, planted, batched=True)
-    assert batched == run(schema, steps, planted, batched=False)
+    _equal_paths(workload)
 
 
 @given(workloads(), st.integers(0, 2**32))
 @SETTINGS
 def test_page_path_equals_record_path_under_faults(workload, fault_seed):
-    schema, steps, planted = workload
     rules = default_chaos_rules(random.Random(fault_seed))
-    batched = run(schema, steps, planted, True, rules, fault_seed)
-    assert batched == run(schema, steps, planted, False, rules, fault_seed)
+    batched = run(workload, True, rules, fault_seed)
+    assert batched == run(workload, False, rules, fault_seed)
 
 
-@pytest.mark.parametrize("planted,error", [(OVERSIZED, "PageError"), (BAD_ROW, "SchemaError")])
-def test_a_failed_record_keeps_the_records_before_it(planted, error):
-    for batched in (True, False):
-        observed = run(INT_SCHEMA, [("insert", [(1, 2)] * 50)], (0, 30, planted), batched)
-        assert observed["outcomes"][0][0] == error
-        assert observed["record_count"] == 30
+@pytest.mark.parametrize(
+    "schema,planted,error",
+    [
+        (INT_SCHEMA, BAD_ARITY, "SchemaError"),
+        (INT_SCHEMA, NOT_AN_INT, "error"),
+        (STRING_SCHEMA, NOT_AN_INT, "error"),
+        (STRING_SCHEMA, TOO_WIDE, "SchemaError"),
+        (INT_SCHEMA, SOURCE_FAILS, "SourceFailed"),
+    ],
+)
+def test_a_failed_row_keeps_the_rows_before_it(schema, planted, error):
+    """Row 30 of 50 fails mid-way down the second page (25 rows fill a
+    512-byte page): 30 rows are written, and the error is the one
+    appending record by record raises."""
+    rows = [(i, i if schema is INT_SCHEMA else f"n{i}") for i in range(50)]
+    observed = _equal_paths(("chaos", "data", schema, [("insert", rows, 1)], (0, 30, planted)))
+    assert observed["outcomes"][0][0] == error
+    assert observed["record_count"] == 30
+
+
+def test_an_oversized_record_raises_with_no_frame_fixed():
+    """A record no empty page can hold raises PageError, on an empty
+    file and behind an existing last page; run() checks that no frame
+    stays fixed."""
+    steps = [("insert", [(1, "x")], 1), ("insert", [(2, "y")] * 3, 1)]
+    observed = _equal_paths(("chaos", "data", OVERSIZED_SCHEMA, steps, None))
+    assert [outcome[0] for outcome in observed["outcomes"]] == ["PageError"] * 2
+    assert observed["record_count"] == 0
+
+
+def test_a_partly_full_tail_page_with_tombstones():
+    """Rows 25..39 leave the second page partly full; deleting every
+    third row tombstones slots on it; the next insert goes on from its
+    slot 15."""
+    steps = [
+        ("insert", [(i, i) for i in range(40)], 1),
+        ("delete", 3),
+        ("insert", [(i, -i) for i in range(30)], 1),
+    ]
+    observed = _equal_paths(("chaos", "data", INT_SCHEMA, steps, None))
+    tail = observed["pages"][1]
+    assert RecordId(tail, 2) not in observed["rids"]  # row 27, deleted
+    assert RecordId(tail, 15) in observed["rids"]  # the first row appended
+
+
+def test_default_page_sizes_on_both_devices():
+    """8 KB data pages and 1 KB run pages, several pages per insert."""
+    steps = [
+        ("insert", [(i, -i) for i in range(300)], 3),
+        ("delete", 4),
+        ("evict",),
+        ("insert", [(i, i) for i in range(200)], 1),
+        ("read",),
+    ]
+    for device in ("data", "runs"):
+        observed = _equal_paths(("default-pages", device, INT_SCHEMA, steps, None))
+        assert len(observed["pages"]) > (1 if device == "data" else 10)
+
+
+def test_multibyte_utf8_strings():
+    names = ["€uro", "ééééé", "a€é", "€€€", ""] * 20
+    rows = [(i, name) for i, name in enumerate(names)]
+    steps = [("insert", rows, 1), ("read",)]
+    observed = _equal_paths(("chaos", "data", STRING_SCHEMA, steps, None))
+    assert observed["outcomes"][1] == rows
 
 
 def test_workloads_reach_the_interesting_paths():
     """Many pages, tombstoned pages and a cold tail page all occur."""
     steps = [
-        ("insert", [(i, i) for i in range(100)]),
+        ("insert", [(i, i) for i in range(100)], 1),
         ("delete", 3),
         ("evict",),
-        ("insert", [(i, -i) for i in range(60)]),
+        ("insert", [(i, -i) for i in range(60)], 1),
         ("read",),
     ]
-    observed = run(INT_SCHEMA, steps, None, batched=True)
+    observed = run(("chaos", "data", INT_SCHEMA, steps, None), batched=True)
     assert len(observed["pages"]) > 3
     assert observed["pool"][0] > 0  # evicted pages were read back
     assert len(observed["outcomes"][-1]) == 160 - 34
+
+
+def test_a_cold_tail_fix_puts_the_pool_over_target():
+    """Fixing the evicted last page grows the pool past its size, so
+    the first row of the insert gets a fix of its own."""
+    steps = [
+        ("insert", [(i, i) for i in range(90)], 1),
+        ("evict",),
+        ("insert", [(i, -i) for i in range(10)], 1),
+    ]
+    seen = []
+    over_target = BufferPool.over_target
+
+    def spy(pool):
+        seen.append(over_target.fget(pool))
+        return seen[-1]
+
+    with mock.patch.object(BufferPool, "over_target", property(spy)):
+        _equal_paths(("chaos", "data", INT_SCHEMA, steps, None))
+    assert True in seen
 
 
 def test_eviction_fault_after_a_cold_tail_fix():
@@ -227,13 +357,13 @@ def test_eviction_fault_after_a_cold_tail_fix():
     of the batch has been appended on either path.
     """
     steps = [
-        ("insert", [(i, i) for i in range(90)]),  # 25 records fill a page
+        ("insert", [(i, i) for i in range(90)], 1),  # 25 records fill a page
         ("evict",),
         ("faults", [FaultRule("permanent", op="write", device="data")]),
-        ("insert", [(i, -i) for i in range(10)]),
+        ("insert", [(i, -i) for i in range(10)], 1),
     ]
     for batched in (True, False):
-        observed = run(INT_SCHEMA, steps, None, batched)
+        observed = run(("chaos", "data", INT_SCHEMA, steps, None), batched)
         assert observed["outcomes"][-1][0] == "DiskFaultError"
         assert observed["record_count"] == 91
 
@@ -242,14 +372,14 @@ class TestUnpackRecords:
     def test_dense_page_matches_per_record_decode(self):
         codec = INT_SCHEMA.codec()
         page = SlottedPage.format(bytearray(256))
-        records = [codec.encode((i, -i)) for i in range(12)]
-        assert page.insert_many(records) == 12
+        page.insert_packed(codec.pack_rows([(i, -i) for i in range(12)]), 12)
+        assert page.slot_count == 12
         assert codec.decode_page(page) == [codec.decode(r) for _, r in page.records()]
 
     def test_tombstones_take_the_per_slot_path(self):
         codec = STRING_SCHEMA.codec()
         page = SlottedPage.format(bytearray(256))
-        page.insert_many([codec.encode((i, f"n{i}")) for i in range(10)])
+        page.insert_packed(codec.pack_rows([(i, f"n{i}") for i in range(10)]), 10)
         page.delete(0)
         page.delete(7)
         expected = [(i, f"n{i}") for i in range(10) if i not in (0, 7)]
@@ -257,31 +387,54 @@ class TestUnpackRecords:
 
     def test_other_record_lengths_are_not_taken_for_dense(self):
         page = SlottedPage.format(bytearray(128))
-        page.insert_many([b"x" * 16, b"y" * 16])
+        page.insert_packed(b"x" * 16 + b"y" * 16, 2)
         # Two 8-byte records' worth of bytes, but the directory says 16:
         # iter_unpack with an 8-byte struct would yield four tuples.
         with pytest.raises(struct.error):
             INT_SCHEMA.project(["a"]).codec().decode_page(page)
 
 
-class TestInsertMany:
-    def test_stops_at_the_first_record_insert_refuses(self):
-        page = SlottedPage.format(bytearray(64))
-        records = [b"a" * 20, b"b" * 20, b"c" * 20, b"d" * 2]
-        assert page.insert_many(records) == 2
+class TestInsertPacked:
+    def test_refuses_records_that_do_not_all_fit(self):
+        buf = bytearray(64)
+        page = SlottedPage.format(buf)
+        empty = bytes(buf)
+        with pytest.raises(PageError, match="3 records of 20 bytes do not fit"):
+            page.insert_packed(b"a" * 60, 3)
+        assert bytes(buf) == empty
+        page.insert_packed(b"a" * 40, 2)
         assert page.slot_count == 2
-        with pytest.raises(PageError):
-            page.insert(records[2])
+        with pytest.raises(PageError, match="record of 20 bytes does not fit"):
+            page.insert_packed(b"c" * 20, 1)
 
-    def test_same_bytes_as_one_record_at_a_time(self):
-        records = [bytes([i]) * (i % 7 + 1) for i in range(30)]
+    @pytest.mark.parametrize("deleted", [(), (0,), (1, 3)])
+    def test_same_bytes_as_one_record_at_a_time(self, deleted):
+        """On a fresh page (the cached dense directory) and behind
+        records already there, tombstoned or not (entries packed)."""
+        first = [bytes([i]) * 6 for i in range(5)]
+        records = [bytes([i]) * 6 for i in range(5, 40)]
         one_buf, many_buf = bytearray(256), bytearray(256)
-        one = SlottedPage.format(one_buf)
+        one, many = SlottedPage.format(one_buf), SlottedPage.format(many_buf)
+        for page in (one, many):
+            for record in first:
+                page.insert(record)
+            for slot in deleted:
+                page.delete(slot)
         for record in records:
             if not one.fits(len(record)):
                 break
             one.insert(record)
-        assert SlottedPage.format(many_buf).insert_many(records) == one.slot_count
+        fitting = one.slot_count - len(first)
+        many.insert_packed(b"".join(records[:fitting]), fitting)
+        assert one_buf == many_buf
+
+    def test_fresh_page_matches_one_record_at_a_time(self):
+        records = [bytes([i]) * 7 for i in range(20)]
+        one_buf, many_buf = bytearray(256), bytearray(256)
+        one = SlottedPage.format(one_buf)
+        for record in records:
+            one.insert(record)
+        SlottedPage.format(many_buf).insert_packed(b"".join(records), len(records))
         assert one_buf == many_buf
 
 
@@ -316,7 +469,7 @@ def _batched_spool(ctx, source):
     file = ctx.temp_file("temp")
     codec = source.schema.codec()
     source.open()
-    file.append_many(codec.encode(row) for row in source)
+    file.append_rows(source, codec)
     source.close()
     return list(file.scan_tuples(codec))
 
