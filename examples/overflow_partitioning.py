@@ -63,8 +63,8 @@ def main() -> None:
     # -- the adaptive driver ----------------------------------------------
     ctx = ExecContext(memory_budget=budget)
     quotient = hash_division_with_overflow(
-        lambda: RelationSource(ctx, dividend),
-        lambda: RelationSource(ctx, divisor),
+        RelationSource(ctx, dividend),
+        RelationSource(ctx, divisor),
         strategy="quotient",
     )
     print(f"adaptive driver: {len(quotient)} quotient tuples under the "

@@ -37,7 +37,7 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
-from repro.metering import CpuCounters, MeterReading
+from repro.metering import CpuCounters
 from repro.relalg import (
     Attribute,
     DataType,
@@ -103,7 +103,6 @@ __all__ = [
     "run_to_relation",
     "StorageConfig",
     "CpuCounters",
-    "MeterReading",
     # observability (repro.obs)
     "Tracer",
     "FakeClock",

@@ -71,9 +71,7 @@ class _AggregateDivisionBase(QueryIterator):
     ) -> None:
         if dividend.ctx is not divisor.ctx:
             raise ExecutionError("division inputs must share one execution context")
-        quotient_names, divisor_names = division_attribute_split(
-            Relation(dividend.schema), Relation(divisor.schema)
-        )
+        quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
         super().__init__(dividend.ctx, dividend.schema.project(quotient_names))
         self.dividend = dividend
         self.divisor = divisor

@@ -42,7 +42,7 @@ def algebraic_division(
     quadratic wall the paper dismisses the identity over.
     """
     quotient_names, _divisor_names = algebra.division_attribute_split(
-        dividend, divisor
+        dividend.schema, divisor.schema
     )
     result = algebra.divide_by_identity(dividend, divisor, name=name)
     if ctx is not None:

@@ -43,7 +43,6 @@ from repro.core.bitmap import Bitmap
 from repro.executor.hash_table import ChainedHashTable
 from repro.executor.iterator import QueryIterator, drain
 from repro.relalg.algebra import division_attribute_split
-from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row, projector
 
 import itertools
@@ -87,7 +86,7 @@ class HashDivision(QueryIterator):
             raise ExecutionError("division inputs must share one execution context")
         if mode not in _MODES:
             raise DivisionError(f"unknown hash-division mode {mode!r}; expected {_MODES}")
-        quotient_names, divisor_names = _split_names(dividend, divisor)
+        quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
         super().__init__(dividend.ctx, dividend.schema.project(quotient_names))
         self.dividend = dividend
         self.divisor = divisor
@@ -337,11 +336,3 @@ class HashDivision(QueryIterator):
             if payload[0].all_set()
         )
 
-
-def _split_names(
-    dividend: QueryIterator, divisor: QueryIterator
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Schema-level validation shared with the algebra oracle."""
-    shell_dividend = Relation(dividend.schema)
-    shell_divisor = Relation(divisor.schema)
-    return division_attribute_split(shell_dividend, shell_divisor)

@@ -24,7 +24,6 @@ from typing import Optional
 from repro.errors import DivisionError, ExecutionError
 from repro.executor.iterator import QueryIterator
 from repro.relalg.algebra import division_attribute_split
-from repro.relalg.relation import Relation
 from repro.relalg.tuples import Row, projector
 
 
@@ -46,9 +45,7 @@ class NaiveDivision(QueryIterator):
     def __init__(self, dividend: QueryIterator, divisor: QueryIterator) -> None:
         if dividend.ctx is not divisor.ctx:
             raise ExecutionError("division inputs must share one execution context")
-        quotient_names, divisor_names = division_attribute_split(
-            Relation(dividend.schema), Relation(divisor.schema)
-        )
+        quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
         super().__init__(dividend.ctx, dividend.schema.project(quotient_names))
         self.dividend = dividend
         self.divisor = divisor

@@ -16,12 +16,21 @@ that can be processed in multiple phases".  Two strategies:
   their phase number and a final *collection phase* divides the union
   of all tagged clusters by the set of phase numbers -- "this problem
   is exactly the division problem again", and this implementation
-  indeed reuses :class:`~repro.core.hash_division.HashDivision` for it.
+  indeed reuses :class:`~repro.core.hash_division.HashDivision` for it
+  (:func:`collection_division`, which the parallel divisor strategy of
+  :mod:`repro.parallel.division` also runs).
+
+Every strategy is built from the same three pieces: one spooler
+(:func:`_spool_partitions`, which keeps cluster 0 in memory for the
+hybrid variant), one divisor read (:func:`_drain`) and one phase runner
+(:func:`_run_phases`, which reclaims the queued cluster files when a
+phase fails).  Combined partitioning is quotient partitioning whose
+per-cluster division is divisor partitioning.
 
 :func:`hash_division_with_overflow` is the adaptive driver: it attempts
 single-phase hash-division and, on
 :class:`~repro.errors.HashTableOverflowError`, retries with a doubling
-number of partitions.
+number of partitions, up to :data:`MAX_PARTITIONS`.
 """
 
 from __future__ import annotations
@@ -43,6 +52,33 @@ from repro.storage.heapfile import HeapFile
 #: collection phase's dividend.
 PHASE_COLUMN = "__phase__"
 
+#: Most partitions :func:`hash_division_with_overflow` tries before it
+#: gives up.
+MAX_PARTITIONS = 256
+
+
+def tagged_schema(quotient_schema: Schema) -> Schema:
+    """Schema of phase-tagged quotient tuples: the quotient attributes
+    followed by :data:`PHASE_COLUMN`."""
+    return Schema(tuple(quotient_schema) + (Attribute(PHASE_COLUMN),))
+
+
+def collection_division(
+    ctx: ExecContext, tagged: Relation, phase_count: int
+) -> HashDivision:
+    """The collection phase of divisor partitioning (§3.4, §6).
+
+    A quotient tuple qualifies only if it survived every phase, so the
+    phase-tagged quotients (schema :func:`tagged_schema`) are divided by
+    the set of phase numbers -- "exactly the division problem again".
+    """
+    phases = Relation.of_ints((PHASE_COLUMN,), [(i,) for i in range(phase_count)])
+    return HashDivision(
+        RelationSource(ctx, tagged),
+        RelationSource(ctx, phases),
+        expected_divisor=phase_count,
+    )
+
 
 def _destroy_files(files: Sequence[HeapFile]) -> None:
     """Best-effort destruction of partition temp files on a failure path.
@@ -51,11 +87,22 @@ def _destroy_files(files: Sequence[HeapFile]) -> None:
     files already consumed (and destroyed) by a ``TempFileScan`` are
     skipped harmlessly; files whose phases never ran are reclaimed.
     Destruction never raises -- cleanup must not mask the original
-    error -- which is why the phase drivers call this from ``except``
-    blocks before re-raising.
+    error -- which is why :func:`_spool_partitions` and
+    :func:`_run_phases` call this from ``except`` blocks before
+    re-raising.
     """
     for file in files:
         file.destroy()
+
+
+def _drain(divisor: QueryIterator) -> Relation:
+    """Read the divisor once into memory: its table must outlive every
+    phase, so each phase replays it from here."""
+    divisor.open()
+    try:
+        return Relation(divisor.schema, list(divisor), name="divisor")
+    finally:
+        divisor.close()
 
 
 def _spool_partitions(
@@ -63,24 +110,38 @@ def _spool_partitions(
     key_names: Sequence[str],
     partitions: int,
     ctx: ExecContext,
-) -> tuple[list[HeapFile], Schema]:
-    """Hash-partition a stream into ``partitions`` temp files.
+    hybrid: bool = False,
+) -> tuple[list[QueryIterator], list[HeapFile]]:
+    """Hash-partition a stream into ``partitions`` clusters.
 
     Each tuple is hashed on ``key_names`` (one ``Hash`` charged) and
-    appended to its cluster file; the files live on the 8 KB temp
-    device and are destroyed by the consumer.
+    appended to its cluster file on the 8 KB temp device.  With
+    ``hybrid=True``, "the first cluster is kept in main memory while the
+    other clusters are spooled to temporary files ... in a way similar
+    to hybrid hash-join" (§3.4): cluster 0 never touches the temp
+    device.
+
+    Returns ``(phase_inputs, files)``: one input per cluster, in
+    cluster order, and the spooled files.  Each file's scan destroys
+    it on close; the caller destroys the rest on a failure.
     """
     schema = source.schema
     codec = schema.codec()
     key_of = projector(schema, key_names)
-    files = [ctx.temp_file("temp") for _ in range(partitions)]
+    resident: list[tuple] = []
+    first_spooled = 1 if hybrid else 0
+    files = [ctx.temp_file("temp") for _ in range(partitions - first_spooled)]
     cpu = ctx.cpu
     try:
         source.open()
         try:
             for row in source:
                 cpu.hashes += 1
-                files[hash(key_of(row)) % partitions].append(codec.encode(row))
+                cluster = hash(key_of(row)) % partitions
+                if cluster < first_spooled:
+                    resident.append(row)
+                else:
+                    files[cluster - first_spooled].append(codec.encode(row))
         finally:
             source.close()
     except BaseException:
@@ -88,7 +149,62 @@ def _spool_partitions(
         # leak the partition files it already allocated.
         _destroy_files(files)
         raise
-    return files, schema
+    phase_inputs: list[QueryIterator] = []
+    if hybrid:
+        phase_inputs.append(
+            RelationSource(ctx, Relation(schema, resident, name="cluster-0"))
+        )
+    phase_inputs.extend(
+        TempFileScan(ctx, file, schema, destroy_on_close=True) for file in files
+    )
+    return phase_inputs, files
+
+
+def _run_phases(
+    phase_inputs: Sequence[QueryIterator],
+    files: Sequence[HeapFile],
+    divide: Callable[[int, QueryIterator], Relation | None],
+) -> list[Relation | None]:
+    """Run ``divide(index, cluster)`` for each cluster, in order.
+
+    A failed phase (overflow, injected disk fault, ...) closes *its
+    own* ``TempFileScan`` -- destroying that file -- but the clusters
+    queued behind it would otherwise leak temp pages, so every file is
+    destroyed before the error propagates.
+    """
+    try:
+        return [divide(index, cluster) for index, cluster in enumerate(phase_inputs)]
+    except BaseException:
+        _destroy_files(files)
+        raise
+
+
+def _quotient_partitioned(
+    dividend: QueryIterator,
+    divisor: QueryIterator,
+    partitions: int,
+    name: str,
+    divide_cluster: Callable[[QueryIterator, Relation], Relation],
+    hybrid: bool = False,
+) -> Relation:
+    """Partition the dividend on the quotient attributes and concatenate
+    ``divide_cluster(cluster, divisor_relation)`` over the clusters."""
+    quotient_names, _divisor_names = division_attribute_split(
+        dividend.schema, divisor.schema
+    )
+    divisor_relation = _drain(divisor)
+    phase_inputs, files = _spool_partitions(
+        dividend, quotient_names, partitions, dividend.ctx, hybrid
+    )
+    quotients = _run_phases(
+        phase_inputs,
+        files,
+        lambda _index, cluster: divide_cluster(cluster, divisor_relation),
+    )
+    result = Relation(dividend.schema.project(quotient_names), name=name)
+    for quotient in quotients:
+        result.extend(quotient)
+    return result
 
 
 def quotient_partitioned_division(
@@ -105,91 +221,26 @@ def quotient_partitioned_division(
     disjoint in their quotient values, the final quotient is the
     concatenation of the per-phase quotients -- no collection phase.
 
-    With ``hybrid=True``, "the first cluster is kept in main memory
-    while the other clusters are spooled to temporary files ... in a
-    way similar to hybrid hash-join" (§3.4): cluster 0 never touches
-    the temp device, saving one write+read round trip for its share of
-    the dividend.
+    With ``hybrid=True`` cluster 0 stays in memory (see
+    :func:`_spool_partitions`), saving one write+read round trip for
+    its share of the dividend.
     """
     if partitions <= 0:
         raise PartitioningError(f"partitions must be positive, got {partitions}")
     ctx = dividend.ctx
-    quotient_names, _divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
-    )
-    # The divisor table must survive all phases, so the divisor is
-    # drained once and replayed per phase from memory.
-    divisor.open()
-    try:
-        divisor_relation = Relation(divisor.schema, list(divisor), name="divisor")
-    finally:
-        divisor.close()
-    result = Relation(dividend.schema.project(quotient_names), name=name)
-    if hybrid:
-        resident, files, schema = _spool_partitions_hybrid(
-            dividend, quotient_names, partitions, ctx
-        )
-        phase_inputs: list[QueryIterator] = [
-            RelationSource(ctx, Relation(schema, resident, name="cluster-0"))
-        ]
-        phase_inputs.extend(
-            TempFileScan(ctx, file, schema, destroy_on_close=True) for file in files
-        )
-    else:
-        files, schema = _spool_partitions(dividend, quotient_names, partitions, ctx)
-        phase_inputs = [
-            TempFileScan(ctx, file, schema, destroy_on_close=True) for file in files
-        ]
-    try:
-        for phase_input in phase_inputs:
-            phase_op = HashDivision(
-                phase_input,
+
+    def divide_cluster(cluster: QueryIterator, divisor_relation: Relation) -> Relation:
+        return run_to_relation(
+            HashDivision(
+                cluster,
                 RelationSource(ctx, divisor_relation),
                 expected_divisor=len(divisor_relation),
             )
-            result.extend(run_to_relation(phase_op))
-    except BaseException:
-        # A failed phase (overflow, injected disk fault, ...) closes
-        # *its own* TempFileScan -- destroying that file -- but the
-        # clusters queued behind it would otherwise leak temp pages.
-        _destroy_files(files)
-        raise
-    return result
+        )
 
-
-def _spool_partitions_hybrid(
-    source: QueryIterator,
-    key_names: Sequence[str],
-    partitions: int,
-    ctx: ExecContext,
-) -> tuple[list[tuple], list[HeapFile], Schema]:
-    """Like :func:`_spool_partitions`, but cluster 0 stays in memory.
-
-    Returns ``(resident_rows, spooled_files, schema)`` where the files
-    cover clusters 1..partitions-1.
-    """
-    schema = source.schema
-    codec = schema.codec()
-    key_of = projector(schema, key_names)
-    resident: list[tuple] = []
-    files = [ctx.temp_file("temp") for _ in range(max(0, partitions - 1))]
-    cpu = ctx.cpu
-    try:
-        source.open()
-        try:
-            for row in source:
-                cpu.hashes += 1
-                cluster = hash(key_of(row)) % partitions
-                if cluster == 0:
-                    resident.append(row)
-                else:
-                    files[cluster - 1].append(codec.encode(row))
-        finally:
-            source.close()
-    except BaseException:
-        _destroy_files(files)
-        raise
-    return resident, files, schema
+    return _quotient_partitioned(
+        dividend, divisor, partitions, name, divide_cluster, hybrid
+    )
 
 
 def divisor_partitioned_division(
@@ -212,64 +263,57 @@ def divisor_partitioned_division(
         raise PartitioningError(f"partitions must be positive, got {partitions}")
     ctx = dividend.ctx
     quotient_names, divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
+        dividend.schema, divisor.schema
     )
-    divisor.open()
-    try:
-        divisor_rows = list(divisor)
-    finally:
-        divisor.close()
-    if not divisor_rows:
+    divisor_relation = _drain(divisor)
+    if not divisor_relation:
         # Vacuous division: delegate to single-phase hash-division,
         # which resolves an empty divisor to "every candidate".
-        empty = RelationSource(ctx, Relation(divisor.schema, (), name="divisor"))
-        return run_to_relation(HashDivision(dividend, empty), name=name)
+        return run_to_relation(
+            HashDivision(dividend, RelationSource(ctx, divisor_relation)), name=name
+        )
 
     cpu = ctx.cpu
     divisor_clusters: list[list[tuple]] = [[] for _ in range(partitions)]
-    for row in divisor_rows:
+    for row in divisor_relation:
         cpu.hashes += 1
         divisor_clusters[hash(tuple(row)) % partitions].append(row)
-    files, schema = _spool_partitions(dividend, divisor_names, partitions, ctx)
+    phase_inputs, files = _spool_partitions(dividend, divisor_names, partitions, ctx)
 
-    # Phase numbering skips empty divisor clusters (see docstring).
-    quotient_schema = dividend.schema.project(quotient_names)
-    tagged_schema = Schema(tuple(quotient_schema) + (Attribute(PHASE_COLUMN),))
-    tagged = Relation(tagged_schema, name="tagged-quotients")
-    phase_count = 0
-    try:
-        for cluster_index in range(partitions):
-            cluster_file = files[cluster_index]
-            cluster_divisor = divisor_clusters[cluster_index]
-            if not cluster_divisor:
-                cluster_file.destroy()
-                continue
-            phase_op = HashDivision(
-                TempFileScan(ctx, cluster_file, schema, destroy_on_close=True),
+    def divide_cluster(index: int, cluster: QueryIterator) -> Relation | None:
+        cluster_divisor = divisor_clusters[index]
+        if not cluster_divisor:
+            files[index].destroy()
+            return None
+        return run_to_relation(
+            HashDivision(
+                cluster,
                 RelationSource(
                     ctx,
                     Relation(divisor.schema, cluster_divisor, name="divisor-cluster"),
                 ),
                 expected_divisor=len(cluster_divisor),
             )
-            phase_quotient = run_to_relation(phase_op)
-            for row in phase_quotient:
-                tagged.append(row + (phase_count,))
-            phase_count += 1
-    except BaseException:
-        # Reclaim the clusters whose phases never ran (destroy is
-        # idempotent for the ones already consumed).
-        _destroy_files(files)
-        raise
+        )
 
-    # Collection phase: divide the tagged union by the phase numbers.
-    phases = Relation.of_ints((PHASE_COLUMN,), [(i,) for i in range(phase_count)])
-    collection = HashDivision(
-        RelationSource(ctx, tagged),
-        RelationSource(ctx, phases),
-        expected_divisor=phase_count,
+    # Phase numbering skips empty divisor clusters (see docstring).
+    phase_quotients = [
+        quotient
+        for quotient in _run_phases(phase_inputs, files, divide_cluster)
+        if quotient is not None
+    ]
+    tagged = Relation(
+        tagged_schema(dividend.schema.project(quotient_names)),
+        (
+            row + (phase,)
+            for phase, quotient in enumerate(phase_quotients)
+            for row in quotient
+        ),
+        name="tagged-quotients",
     )
-    return run_to_relation(collection, name=name)
+    return run_to_relation(
+        collection_division(ctx, tagged, len(phase_quotients)), name=name
+    )
 
 
 def combined_partitioned_division(
@@ -285,60 +329,42 @@ def combined_partitioned_division(
     because both divisor and quotient are too large?  In this case it
     will be necessary to resort to combinations of the techniques."
 
-    The dividend is first hash-partitioned on the *quotient*
-    attributes; each quotient cluster is then divided with *divisor
-    partitioning* (its own phases plus collection).  A phase therefore
-    holds only ``1/divisor_partitions`` of the divisor table and about
-    ``1/quotient_partitions`` of the quotient candidates -- both tables
-    shrink.  The outer clusters are disjoint in their quotient values,
-    so the final result is their concatenation.
+    This is quotient partitioning whose per-cluster division is
+    :func:`divisor_partitioned_division` (its own phases plus
+    collection).  A phase therefore holds only ``1/divisor_partitions``
+    of the divisor table and about ``1/quotient_partitions`` of the
+    quotient candidates -- both tables shrink.
     """
     if quotient_partitions <= 0 or divisor_partitions <= 0:
         raise PartitioningError("partition counts must be positive")
     ctx = dividend.ctx
-    quotient_names, _divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
+    return _quotient_partitioned(
+        dividend,
+        divisor,
+        quotient_partitions,
+        name,
+        lambda cluster, divisor_relation: divisor_partitioned_division(
+            cluster, RelationSource(ctx, divisor_relation), divisor_partitions
+        ),
     )
-    divisor.open()
-    try:
-        divisor_relation = Relation(divisor.schema, list(divisor), name="divisor")
-    finally:
-        divisor.close()
-    files, schema = _spool_partitions(
-        dividend, quotient_names, quotient_partitions, ctx
-    )
-    result = Relation(dividend.schema.project(quotient_names), name=name)
-    try:
-        for file in files:
-            cluster_quotient = divisor_partitioned_division(
-                TempFileScan(ctx, file, schema, destroy_on_close=True),
-                RelationSource(ctx, divisor_relation),
-                divisor_partitions,
-            )
-            result.extend(cluster_quotient)
-    except BaseException:
-        _destroy_files(files)
-        raise
-    return result
 
 
 def hash_division_with_overflow(
-    make_dividend: Callable[[], QueryIterator],
-    make_divisor: Callable[[], QueryIterator],
+    dividend: QueryIterator,
+    divisor: QueryIterator,
     strategy: str = "quotient",
-    max_partitions: int = 256,
     name: str = "quotient",
 ) -> Relation:
     """Adaptive hash-division that survives hash-table overflow.
 
     Attempts single-phase hash-division first; when the memory pool
     overflows, retries with 2, 4, 8, ... partitions of the requested
-    strategy until it fits or ``max_partitions`` is exceeded.
+    strategy until it fits or :data:`MAX_PARTITIONS` is exceeded.
 
     Args:
-        make_dividend: Factory producing a *fresh* dividend iterator
-            per attempt (a failed attempt consumes its input).
-        make_divisor: Factory producing a fresh divisor iterator.
+        dividend: The dividend; re-opened by every attempt (a failed
+            attempt consumes its input).
+        divisor: The divisor; re-opened by every attempt.
         strategy: ``"quotient"`` or ``"divisor"`` partitioning.
     """
     if strategy not in ("quotient", "divisor"):
@@ -348,14 +374,13 @@ def hash_division_with_overflow(
         if strategy == "quotient"
         else divisor_partitioned_division
     )
-    dividend = make_dividend()
     tracer = dividend.ctx.tracer
     try:
-        return run_to_relation(HashDivision(dividend, make_divisor()), name=name)
+        return run_to_relation(HashDivision(dividend, divisor), name=name)
     except HashTableOverflowError:
         pass
     partitions = 2
-    while partitions <= max_partitions:
+    while partitions <= MAX_PARTITIONS:
         if tracer.enabled:
             # One retry per doubling; the gauge keeps the last fan-out
             # attempted, i.e. the one that succeeded (or the ceiling).
@@ -364,10 +389,10 @@ def hash_division_with_overflow(
                 "repro_division_partition_fanout", partitions, strategy=strategy
             )
         try:
-            return partitioner(make_dividend(), make_divisor(), partitions, name=name)
+            return partitioner(dividend, divisor, partitions, name=name)
         except HashTableOverflowError:
             partitions *= 2
     raise HashTableOverflowError(
-        f"hash-division still overflows with {max_partitions} partitions; "
+        f"hash-division still overflows with {MAX_PARTITIONS} partitions; "
         "increase the memory budget or max_partitions"
     )

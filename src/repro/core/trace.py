@@ -76,7 +76,7 @@ def trace_hash_division(dividend: Relation, divisor: Relation) -> DivisionTrace:
     memory budget -- written to mirror the pseudo-code and the §3.2
     narration as closely as possible.
     """
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     divisor_of = projector(dividend.schema, divisor_names)
     quotient_of = projector(dividend.schema, quotient_names)
     trace = DivisionTrace()

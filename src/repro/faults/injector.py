@@ -128,11 +128,6 @@ class FaultRule:
         """``"disk"``, ``"network"``, or ``"memory"`` -- derived from kind."""
         return _scope_of(self.kind)
 
-    @property
-    def one_shot(self) -> bool:
-        """True when the rule fires at most once."""
-        return self.max_fires == 1
-
     # -- scope matching ---------------------------------------------------
 
     def matches_disk(self, device: str, page_no: int, op: str) -> bool:

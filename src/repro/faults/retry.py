@@ -60,10 +60,6 @@ class RetryPolicy:
         wait = self.base_backoff_ms * (self.multiplier ** (failure_number - 1))
         return min(self.max_backoff_ms, wait)
 
-    def total_backoff_ms(self, failures: int) -> float:
-        """Backoff accumulated over ``failures`` consecutive failures."""
-        return sum(self.backoff_ms(n) for n in range(1, failures + 1))
-
 
 #: The stack's default policy: up to 4 attempts, 1/2/4 ms backoff.
 DEFAULT_RETRY_POLICY = RetryPolicy()

@@ -17,7 +17,7 @@ Table 4 reproduction reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -78,27 +78,3 @@ class CpuCounters:
         self.moves = 0.0
         self.bit_ops = 0
 
-
-@dataclass
-class MeterReading:
-    """An immutable (cpu, io) cost reading in model milliseconds.
-
-    Produced by the experiment harness after weighting
-    :class:`CpuCounters` and :class:`repro.storage.stats.IoStatistics`
-    with the paper's unit costs.
-    """
-
-    cpu_ms: float = 0.0
-    io_ms: float = 0.0
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def total_ms(self) -> float:
-        """Combined CPU + I/O model time, the paper's reporting metric."""
-        return self.cpu_ms + self.io_ms
-
-    def __add__(self, other: "MeterReading") -> "MeterReading":
-        merged = dict(self.detail)
-        for key, value in other.detail.items():
-            merged[key] = merged.get(key, 0.0) + value
-        return MeterReading(self.cpu_ms + other.cpu_ms, self.io_ms + other.io_ms, merged)

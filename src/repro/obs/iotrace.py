@@ -245,22 +245,13 @@ def replay_counters(events: Iterable[IoEvent]) -> dict[str, DeviceCounters]:
     return devices
 
 
-def _price(counters: DeviceCounters, weights: IoWeights) -> float:
-    return (
-        counters.seeks * weights.seek_ms
-        + counters.transfers
-        * (weights.latency_ms_per_transfer + weights.cpu_ms_per_transfer)
-        + (counters.bytes_total / 1024) * weights.transfer_ms_per_kib
-    )
-
-
 def replay_cost_ms(
     events: Iterable[IoEvent], weights: IoWeights | None = None
 ) -> dict[str, float]:
     """Per-device Table 3 milliseconds recomputed from the event log."""
     weights = weights or IoWeights()
     return {
-        device: _price(counters, weights)
+        device: weights.cost_ms(counters.seeks, counters.transfers, counters.bytes_total)
         for device, counters in replay_counters(events).items()
     }
 
@@ -317,7 +308,7 @@ def verify_conservation(
     for device in sorted(devices):
         got = replayed.get(device, DeviceCounters())
         want = io_stats.devices.get(device, DeviceCounters())
-        replayed_ms = _price(got, weights)
+        replayed_ms = weights.cost_ms(got.seeks, got.transfers, got.bytes_total)
         reported_ms = io_stats.cost_ms(device) if device in io_stats.devices else 0.0
         report.per_device[device] = (replayed_ms, reported_ms)
         if (
@@ -507,7 +498,7 @@ def render_summary(
         lines.append(
             f"{device:8} {counters.reads:>7} {counters.writes:>7} "
             f"{counters.seeks:>7} {counters.bytes_total / 1024:>9.1f} "
-            f"{_price(counters, weights):>10.3f}"
+            f"{weights.cost_ms(counters.seeks, counters.transfers, counters.bytes_total):>10.3f}"
         )
     offenders = top_seek_offenders(log.events(), n=top_n, weights=weights)
     if offenders:

@@ -201,7 +201,6 @@ class OperatorAccounting:
         stats = self._stack[-1]
         stats.wall_s += now.at_s - then.at_s
         stats.cpu.merge(now.cpu.delta_since(then.cpu))
-        w = now.weights
         for device, current in now.io.items():
             previous = then.io.get(device, DeviceCounters())
             reads = current.reads - previous.reads
@@ -219,10 +218,8 @@ class OperatorAccounting:
             stats.io_by_device[device] = (
                 stats.io_by_device.get(device, 0) + reads + writes
             )
-            stats.io_ms += (
-                seeks * w.seek_ms
-                + (reads + writes) * (w.latency_ms_per_transfer + w.cpu_ms_per_transfer)
-                + ((bytes_read + bytes_written) / 1024) * w.transfer_ms_per_kib
+            stats.io_ms += now.weights.cost_ms(
+                seeks, reads + writes, bytes_read + bytes_written
             )
         for key, index in (
             ("fixes", 0), ("misses", 1), ("evictions", 2), ("writebacks", 3),

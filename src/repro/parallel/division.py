@@ -14,7 +14,9 @@ Both adaptations from the paper are implemented:
   cluster, tags its quotient tuples with its phase number, and ships
   them to a collection site that "divides the set of all incoming
   tuples over the set of processor network addresses" -- implemented,
-  as the paper notes, with hash-division itself.
+  as the paper notes, with hash-division itself
+  (:func:`repro.core.partitioned.collection_division`, the serial
+  §3.4 collection phase).
 
 * ``bit_vector_bits=n`` -- Babb-style filtering: before shipping a
   dividend tuple, the sender probes a bit vector built from the
@@ -32,22 +34,22 @@ busiest receiver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from repro.errors import PartitioningError
 from repro.core.hash_division import HashDivision
+from repro.core.partitioned import collection_division, tagged_schema
 from repro.costmodel.units import CostUnits, PAPER_UNITS
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
+from repro.metering import CpuCounters
 from repro.parallel.bitvector import BitVectorFilter
 from repro.parallel.network import Interconnect, NetworkWeights
 from repro.parallel.partitioning import round_robin
 from repro.parallel.processor import Cluster
 from repro.relalg.algebra import division_attribute_split
 from repro.relalg.relation import Relation
-from repro.relalg.schema import Attribute, Schema
 from repro.relalg.tuples import projector
-
-PHASE_COLUMN = "__phase__"
 
 
 @dataclass
@@ -127,7 +129,7 @@ def parallel_hash_division(
         raise PartitioningError(f"unknown collection mode {collection!r}")
     if processors <= 0:
         raise PartitioningError(f"processors must be positive, got {processors}")
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     cluster = Cluster.build(processors, memory_budget_per_node=memory_budget_per_node)
     network = Interconnect(network_weights, injector=injector)
     dividend_fragments = round_robin(dividend.rows, processors)
@@ -197,45 +199,70 @@ class _StrategyBase:
             keys, self.bit_vector_bits, cpu=node_ctx.cpu
         )
 
-    def ship_dividend(
+    def exchange(
         self,
-        destination_of,
-        bit_vector: BitVectorFilter | None,
-        filter_cpu_nodes: list[ExecContext],
-    ) -> list[list[tuple]]:
-        """Repartition dividend fragments, applying the filter at the
-        sender; returns per-destination clusters.
+        fragments: Sequence[Sequence[tuple]],
+        destination_of: Callable[[tuple], int],
+        tuple_bytes: int,
+        admit: Callable[[tuple, CpuCounters], bool] | None = None,
+    ) -> tuple[list[list[tuple]], int]:
+        """Repartition per-node fragments; returns the rows each node
+        received and the number of rows that changed machines.
 
-        Remote rows travel as per-destination batches through
-        :meth:`~repro.parallel.network.Interconnect.send`; a duplicated
-        batch lands in its destination cluster twice (the local
-        hash-division is idempotent under dividend duplicates -- same
-        bit, set twice), a dropped batch is retransmitted by the
-        interconnect before this method sees it.
+        The sender charges one partitioning ``Hash`` per row, then
+        drops the rows ``admit(row, sender_cpu)`` rejects.  Rows that
+        stay on their node are kept in place; the others travel as one
+        batch per (sender, destination) through
+        :meth:`~repro.parallel.network.Interconnect.send`.  A
+        duplicated batch lands at its destination twice (every
+        consumer is idempotent under duplicates: divisor tables
+        deduplicate, bits are set twice); a dropped batch is
+        retransmitted by the interconnect before this method sees it.
         """
-        tuple_bytes = self.dividend.schema.record_size
-        clusters: list[list[tuple]] = [[] for _ in range(self.processors)]
-        for origin, fragment in enumerate(self.dividend_fragments):
-            sender_cpu = filter_cpu_nodes[origin]
+        received: list[list[tuple]] = [[] for _ in range(self.processors)]
+        shipped = 0
+        for origin, (node, fragment) in enumerate(zip(self.cluster, fragments)):
+            cpu = node.ctx.cpu
             batches: dict[int, list[tuple]] = {}
             for row in fragment:
-                sender_cpu.cpu.hashes += 1  # partitioning hash
-                if bit_vector is not None:
-                    sender_cpu.cpu.hashes += 1
-                    sender_cpu.cpu.bit_ops += 1
-                    if not bit_vector.may_contain(self.divisor_key_of(row)):
-                        self.filtered += 1
-                        continue
+                cpu.hashes += 1  # partitioning hash
+                if admit is not None and not admit(row, cpu):
+                    continue
                 destination = destination_of(row)
                 if destination == origin:
-                    clusters[origin].append(row)
+                    received[origin].append(row)
                 else:
                     batches.setdefault(destination, []).append(row)
             for destination, batch in batches.items():
                 copies = self.network.send(origin, destination, len(batch), tuple_bytes)
-                self.shipped += len(batch)
+                shipped += len(batch)
                 for _ in range(copies):
-                    clusters[destination].extend(batch)
+                    received[destination].extend(batch)
+        return received, shipped
+
+    def ship_dividend(
+        self, destination_of: Callable[[tuple], int], bit_vector: BitVectorFilter | None
+    ) -> list[list[tuple]]:
+        """Repartition the dividend fragments, applying the bit-vector
+        filter at the sender; returns per-destination clusters."""
+        admit = None
+        if bit_vector is not None:
+
+            def admit(row: tuple, cpu: CpuCounters) -> bool:
+                cpu.hashes += 1
+                cpu.bit_ops += 1
+                if bit_vector.may_contain(self.divisor_key_of(row)):
+                    return True
+                self.filtered += 1
+                return False
+
+        clusters, shipped = self.exchange(
+            self.dividend_fragments,
+            destination_of,
+            self.dividend.schema.record_size,
+            admit,
+        )
+        self.shipped += shipped
         return clusters
 
     def finish(self, quotient: Relation, coordinator_ms: float) -> ParallelDivisionResult:
@@ -296,9 +323,7 @@ class _QuotientStrategy(_StrategyBase):
                 self.network.send(0, destination, 1, bit_vector.size_bytes)
         quotient_of = projector(self.dividend.schema, self.quotient_names)
         destination_of = lambda row: hash(quotient_of(row)) % self.processors
-        clusters = self.ship_dividend(
-            destination_of, bit_vector, [node.ctx for node in nodes]
-        )
+        clusters = self.ship_dividend(destination_of, bit_vector)
         quotient = Relation(self.dividend.schema.project(self.quotient_names), name=self.name)
         for node, cluster_rows, node_divisor in zip(nodes, clusters, node_divisors):
             local = HashDivision(
@@ -318,23 +343,13 @@ class _DivisorStrategy(_StrategyBase):
 
     def run(self) -> ParallelDivisionResult:
         nodes = list(self.cluster)
-        divisor_bytes = self.divisor.schema.record_size
         # Repartition the divisor on its own attributes.  Duplicated
         # batches append twice; the divisor table deduplicates.
-        divisor_clusters: list[list[tuple]] = [[] for _ in range(self.processors)]
-        for origin, fragment in enumerate(self.divisor_fragments):
-            batches: dict[int, list[tuple]] = {}
-            for row in fragment:
-                nodes[origin].ctx.cpu.hashes += 1
-                destination = hash(tuple(row)) % self.processors
-                if destination == origin:
-                    divisor_clusters[origin].append(row)
-                else:
-                    batches.setdefault(destination, []).append(row)
-            for destination, batch in batches.items():
-                copies = self.network.send(origin, destination, len(batch), divisor_bytes)
-                for _ in range(copies):
-                    divisor_clusters[destination].extend(batch)
+        divisor_clusters, _ = self.exchange(
+            self.divisor_fragments,
+            lambda row: hash(tuple(row)) % self.processors,
+            self.divisor.schema.record_size,
+        )
         if not any(divisor_clusters):
             # Vacuous division: run locally on node 0.
             ctx = nodes[0].ctx
@@ -350,15 +365,12 @@ class _DivisorStrategy(_StrategyBase):
             for destination in range(1, self.processors):
                 self.network.send(0, destination, 1, bit_vector.size_bytes)
         destination_of = lambda row: hash(self.divisor_key_of(row)) % self.processors
-        dividend_clusters = self.ship_dividend(
-            destination_of, bit_vector, [node.ctx for node in nodes]
-        )
+        dividend_clusters = self.ship_dividend(destination_of, bit_vector)
         # Local divisions; quotient tuples are tagged with their phase
         # number.  Per-node tagged outputs are kept separate so the
         # collection phase can be central (all to node 0) or
         # decentralized (repartitioned on the quotient attributes).
-        quotient_schema = self.dividend.schema.project(self.quotient_names)
-        tagged_schema = Schema(tuple(quotient_schema) + (Attribute(PHASE_COLUMN),))
+        schema = tagged_schema(self.dividend.schema.project(self.quotient_names))
         tagged_per_node: list[list[tuple]] = [[] for _ in range(self.processors)]
         phase = 0
         for node_index, node in enumerate(nodes):
@@ -382,70 +394,54 @@ class _DivisorStrategy(_StrategyBase):
                 row + (phase,) for row in phase_quotient
             ]
             phase += 1
-        phases = Relation.of_ints((PHASE_COLUMN,), [(i,) for i in range(phase)])
         self.detail["phases"] = phase
         self.detail["collection_input_tuples"] = sum(
             len(tagged) for tagged in tagged_per_node
         )
         if self.collection == "central":
             quotient, coordinator_ms = self._central_collection(
-                tagged_per_node, tagged_schema, phases
+                tagged_per_node, schema, phase
             )
         else:
             quotient, coordinator_ms = self._decentralized_collection(
-                nodes, tagged_per_node, tagged_schema, phases
+                tagged_per_node, schema, phase
             )
         return self.finish(quotient, coordinator_ms)
 
-    def _central_collection(self, tagged_per_node, tagged_schema, phases):
+    def _central_collection(self, tagged_per_node, schema, phase_count):
         """Ship every tagged cluster to node 0 and divide there."""
         collection_site = 0
         tagged_rows: list[tuple] = []
         for origin, tagged in enumerate(tagged_per_node):
             copies = self.network.send(
-                origin, collection_site, len(tagged), tagged_schema.record_size
+                origin, collection_site, len(tagged), schema.record_size
             )
             for _ in range(copies):
                 tagged_rows.extend(tagged)
         coordinator_ctx = ExecContext()
-        collection = HashDivision(
-            RelationSource(coordinator_ctx, Relation(tagged_schema, tagged_rows)),
-            RelationSource(coordinator_ctx, phases),
-            expected_divisor=len(phases),
+        collection = collection_division(
+            coordinator_ctx, Relation(schema, tagged_rows), phase_count
         )
         quotient = run_to_relation(collection, name=self.name)
         return quotient, self.units.cpu_cost_ms(coordinator_ctx.cpu)
 
-    def _decentralized_collection(self, nodes, tagged_per_node, tagged_schema, phases):
+    def _decentralized_collection(self, tagged_per_node, schema, phase_count):
         """Repartition tagged clusters on the quotient attributes and
         run the collection division on every node ("it is possible to
         decentralize the collection step using quotient partitioning").
         """
-        tagged_quotient_of = projector(tagged_schema, self.quotient_names)
-        shares: list[list[tuple]] = [[] for _ in range(self.processors)]
-        for origin, tagged in enumerate(tagged_per_node):
-            batches: dict[int, list[tuple]] = {}
-            for row in tagged:
-                nodes[origin].ctx.cpu.hashes += 1
-                destination = hash(tagged_quotient_of(row)) % self.processors
-                if destination == origin:
-                    shares[origin].append(row)
-                else:
-                    batches.setdefault(destination, []).append(row)
-            for destination, batch in batches.items():
-                copies = self.network.send(
-                    origin, destination, len(batch), tagged_schema.record_size
-                )
-                for _ in range(copies):
-                    shares[destination].extend(batch)
+        tagged_quotient_of = projector(schema, self.quotient_names)
+        shares, _ = self.exchange(
+            tagged_per_node,
+            lambda row: hash(tagged_quotient_of(row)) % self.processors,
+            schema.record_size,
+        )
         quotient = Relation(
             self.dividend.schema.project(self.quotient_names), name=self.name
         )
-        for node, share in zip(nodes, shares):
-            collection = HashDivision(
-                RelationSource(node.ctx, Relation(tagged_schema, share)),
-                RelationSource(node.ctx, phases),
-                expected_divisor=len(phases),
+        for node, share in zip(self.cluster, shares):
+            collection = collection_division(
+                node.ctx, Relation(schema, share), phase_count
             )
             quotient.extend(run_to_relation(collection))
         return quotient, 0.0

@@ -69,7 +69,3 @@ class Cluster:
         """Max local time over all processors -- the parallel phase's
         wall-clock contribution."""
         return max((node.busy_ms(units) for node in self.processors), default=0.0)
-
-    def total_cpu_ms(self, units: CostUnits = PAPER_UNITS) -> float:
-        """Sum of local CPU time (the work, not the wall clock)."""
-        return sum(node.cpu_ms(units) for node in self.processors)

@@ -163,16 +163,12 @@ class DivideNode(LogicalNode):
 
     @property
     def quotient_names(self) -> tuple[str, ...]:
-        names, _ = division_attribute_split(
-            Relation(self.dividend.schema), Relation(self.divisor.schema)
-        )
+        names, _ = division_attribute_split(self.dividend.schema, self.divisor.schema)
         return names
 
     @property
     def divisor_names(self) -> tuple[str, ...]:
-        _, names = division_attribute_split(
-            Relation(self.dividend.schema), Relation(self.divisor.schema)
-        )
+        _, names = division_attribute_split(self.dividend.schema, self.divisor.schema)
         return names
 
     @property

@@ -58,9 +58,7 @@ class MaterializedDivision(QueryIterator):
                 f"unknown materialized division method {method!r}; "
                 f"expected one of {_METHODS}"
             )
-        quotient_names, divisor_names = division_attribute_split(
-            Relation(dividend.schema), Relation(divisor.schema)
-        )
+        quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
         super().__init__(dividend.ctx, dividend.schema.project(quotient_names))
         self.dividend = dividend
         self.divisor = divisor

@@ -75,9 +75,7 @@ def build_division_operator(
             produce duplicates and naive division *requires*
             duplicate-free sorted inputs.
     """
-    quotient_names, divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
-    )
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     if strategy == "naive":
         sorted_dividend = ExternalSort(
             dividend,
@@ -199,10 +197,7 @@ class PhysicalPlan:
             ):
                 strategy = "divisor"
         return hash_division_with_overflow(
-            lambda: self.dividend_input,
-            lambda: self.divisor_input,
-            strategy=strategy,
-            name=name,
+            self.dividend_input, self.divisor_input, strategy=strategy, name=name
         )
 
     def explain(self, analyze: bool = False) -> str:

@@ -19,6 +19,7 @@ from typing import Sequence
 from repro.errors import DivisionError, SchemaError
 from repro.relalg.predicates import Predicate
 from repro.relalg.relation import Relation
+from repro.relalg.schema import Schema
 from repro.relalg.tuples import projector
 
 
@@ -133,7 +134,7 @@ def divide_set_semantics(
     projections of the dividend, the standard convention: the
     universal quantifier over an empty set is vacuously true.
     """
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     quotient_of = projector(dividend.schema, quotient_names)
     divisor_of = projector(dividend.schema, divisor_names)
     required = {tuple(row) for row in divisor}
@@ -169,7 +170,7 @@ def divide_by_identity(
     attribute-for-attribute, so the product is re-ordered into the
     dividend's attribute order before subtracting.
     """
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     candidates = project(dividend, quotient_names, distinct=True)
     divisor_distinct = Relation(
         dividend.schema.project(divisor_names), dict.fromkeys(divisor)
@@ -183,9 +184,9 @@ def divide_by_identity(
 
 
 def division_attribute_split(
-    dividend: Relation, divisor: Relation
+    dividend: Schema, divisor: Schema
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Validate a division and split the dividend attributes.
+    """Validate a division and split the dividend schema's attributes.
 
     Returns ``(quotient_names, divisor_names)`` where ``divisor_names``
     are the divisor's attributes (which must all appear in the
@@ -196,8 +197,8 @@ def division_attribute_split(
         DivisionError: if the divisor attributes are not a non-empty
             proper subset of the dividend attributes.
     """
-    divisor_names = divisor.schema.names
-    dividend_names = dividend.schema.names
+    divisor_names = divisor.names
+    dividend_names = dividend.names
     missing = [n for n in divisor_names if n not in dividend_names]
     if missing:
         raise DivisionError(

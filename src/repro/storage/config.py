@@ -57,11 +57,6 @@ class StorageConfig:
             raise StorageError("sort buffer must be positive")
 
     @property
-    def buffer_frames(self) -> int:
-        """Initial number of page frames in the buffer pool."""
-        return self.buffer_size // self.page_size
-
-    @property
     def sort_fan_in(self) -> int:
         """Maximum merge fan-in: sort-run pages that fit in the sort buffer."""
         return max(2, self.sort_buffer_size // self.sort_run_page_size)

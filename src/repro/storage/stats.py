@@ -33,13 +33,27 @@ class IoWeights:
     transfer_ms_per_kib: float = 0.5
     cpu_ms_per_transfer: float = 2.0
 
+    def cost_ms(self, seeks: int, transfers: int, bytes_moved: int) -> float:
+        """Table 3 cost of ``transfers`` physical transfers moving
+        ``bytes_moved`` bytes, ``seeks`` of them after a seek.
+
+        The one aggregate form of the weights: device totals, deltas
+        between snapshots, per-operator charges and event-log replays
+        are all priced here, so their model ms agree to the last bit.
+        """
+        return (
+            seeks * self.seek_ms
+            + transfers * (self.latency_ms_per_transfer + self.cpu_ms_per_transfer)
+            + (bytes_moved / 1024) * self.transfer_ms_per_kib
+        )
+
     def event_cost_ms(self, nbytes: int, seek: bool) -> float:
         """Table 3 cost of one physical transfer of ``nbytes``.
 
-        This is the per-event form of :meth:`IoStatistics.cost_ms`:
-        summing it over every recorded transfer reproduces the
-        aggregate exactly (same weights, same formula), which is what
-        the :mod:`repro.obs.iotrace` conservation validator checks.
+        This is the per-event form of :meth:`cost_ms`: summing it over
+        every recorded transfer reproduces the aggregate exactly (same
+        weights, same formula), which is what the
+        :mod:`repro.obs.iotrace` conservation validator checks.
         """
         return (
             (self.seek_ms if seek else 0.0)
@@ -232,11 +246,8 @@ class IoStatistics:
             device: Restrict to one device; ``None`` sums all devices.
         """
         counters = self.totals() if device is None else self.counters(device)
-        w = self.weights
-        return (
-            counters.seeks * w.seek_ms
-            + counters.transfers * (w.latency_ms_per_transfer + w.cpu_ms_per_transfer)
-            + (counters.bytes_total / 1024) * w.transfer_ms_per_kib
+        return self.weights.cost_ms(
+            counters.seeks, counters.transfers, counters.bytes_total
         )
 
     def snapshot(self) -> dict[str, DeviceCounters]:
@@ -250,17 +261,13 @@ class IoStatistics:
 
     def cost_since(self, snapshot: dict[str, DeviceCounters]) -> float:
         """Model I/O ms accumulated since ``snapshot`` was taken."""
-        w = self.weights
         total = 0.0
         for name, now in self._devices.items():
             then = snapshot.get(name, DeviceCounters())
-            seeks = now.seeks - then.seeks
-            transfers = now.transfers - then.transfers
-            bytes_moved = now.bytes_total - then.bytes_total
-            total += (
-                seeks * w.seek_ms
-                + transfers * (w.latency_ms_per_transfer + w.cpu_ms_per_transfer)
-                + (bytes_moved / 1024) * w.transfer_ms_per_kib
+            total += self.weights.cost_ms(
+                now.seeks - then.seeks,
+                now.transfers - then.transfers,
+                now.bytes_total - then.bytes_total,
             )
         return total
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import HashTableOverflowError, PartitioningError
+from repro.core import partitioned
 from repro.core.hash_division import HashDivision
 from repro.core.partitioned import (
     divisor_partitioned_division,
@@ -116,8 +117,8 @@ class TestOverflowDriver:
         dividend, divisor = self.make_big()  # 300 candidates, 40 divisor values
         ctx = ExecContext(memory_budget=12 * 1024)
         result = hash_division_with_overflow(
-            lambda: RelationSource(ctx, dividend),
-            lambda: RelationSource(ctx, divisor),
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
             strategy="quotient",
         )
         expected = algebra.divide_set_semantics(dividend, divisor)
@@ -134,8 +135,8 @@ class TestOverflowDriver:
         )
         ctx = ExecContext(memory_budget=24 * 1024)
         result = hash_division_with_overflow(
-            lambda: RelationSource(ctx, dividend),
-            lambda: RelationSource(ctx, divisor),
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
             strategy="divisor",
         )
         assert sorted(result.rows) == [(q,) for q in range(4)]
@@ -145,21 +146,21 @@ class TestOverflowDriver:
         dividend, divisor = self.make_big()
         ctx = ExecContext()  # unbounded
         result = hash_division_with_overflow(
-            lambda: RelationSource(ctx, dividend),
-            lambda: RelationSource(ctx, divisor),
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
         )
         assert len(result) == 300
         # No partitioning happened: nothing was spooled to temp.
         assert ctx.io_stats.counters("temp").transfers == 0
 
-    def test_driver_gives_up_past_max_partitions(self):
+    def test_driver_gives_up_past_max_partitions(self, monkeypatch):
+        monkeypatch.setattr(partitioned, "MAX_PARTITIONS", 4)
         dividend, divisor = self.make_big()
         ctx = ExecContext(memory_budget=1024)  # hopeless
-        with pytest.raises(HashTableOverflowError):
+        with pytest.raises(HashTableOverflowError, match="with 4 partitions"):
             hash_division_with_overflow(
-                lambda: RelationSource(ctx, dividend),
-                lambda: RelationSource(ctx, divisor),
-                max_partitions=4,
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
             )
 
     def test_unknown_strategy_rejected(self):
@@ -168,7 +169,7 @@ class TestOverflowDriver:
         divisor = Relation.of_ints(("d",), [])
         with pytest.raises(PartitioningError):
             hash_division_with_overflow(
-                lambda: RelationSource(ctx, empty),
-                lambda: RelationSource(ctx, divisor),
+                RelationSource(ctx, empty),
+                RelationSource(ctx, divisor),
                 strategy="bogus",
             )

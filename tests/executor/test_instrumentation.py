@@ -127,8 +127,8 @@ class TestDivisionRetryMetrics:
         tracer = Tracer()
         ctx = ExecContext(memory_budget=12 * 1024, tracer=tracer)
         result = hash_division_with_overflow(
-            lambda: RelationSource(ctx, dividend),
-            lambda: RelationSource(ctx, divisor),
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
             strategy="quotient",
         )
         assert len(result) == 300
@@ -147,8 +147,8 @@ class TestDivisionRetryMetrics:
         tracer = Tracer()
         ctx = ExecContext(tracer=tracer)  # unbounded: no retry needed
         hash_division_with_overflow(
-            lambda: RelationSource(ctx, dividend),
-            lambda: RelationSource(ctx, divisor),
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
         )
         with pytest.raises(KeyError):
             tracer.metrics.value(

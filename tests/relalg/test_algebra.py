@@ -135,19 +135,19 @@ class TestDivision:
         dividend = Relation.of_ints(("q", "d"), [])
         divisor = Relation.of_ints(("x",), [])
         with pytest.raises(DivisionError):
-            algebra.division_attribute_split(dividend, divisor)
+            algebra.division_attribute_split(dividend.schema, divisor.schema)
 
     def test_divisor_covering_all_attributes_rejected(self):
         dividend = Relation.of_ints(("q", "d"), [])
         divisor = Relation.of_ints(("q", "d"), [])
         with pytest.raises(DivisionError):
-            algebra.division_attribute_split(dividend, divisor)
+            algebra.division_attribute_split(dividend.schema, divisor.schema)
 
     def test_attribute_split_orders_by_dividend_schema(self):
         dividend = Relation.of_ints(("a", "d", "b"), [])
         divisor = Relation.of_ints(("d",), [])
         quotient_names, divisor_names = algebra.division_attribute_split(
-            dividend, divisor
+            dividend.schema, divisor.schema
         )
         assert quotient_names == ("a", "b")
         assert divisor_names == ("d",)

@@ -2,24 +2,7 @@
 
 import pytest
 
-from repro.metering import CpuCounters, MeterReading
-
-
-class TestMeterReading:
-    def test_total(self):
-        reading = MeterReading(cpu_ms=10.0, io_ms=5.0)
-        assert reading.total_ms == 15.0
-
-    def test_addition_merges_details(self):
-        a = MeterReading(1.0, 2.0, {"sort": 1.0})
-        b = MeterReading(3.0, 4.0, {"sort": 2.0, "scan": 5.0})
-        merged = a + b
-        assert merged.cpu_ms == 4.0
-        assert merged.io_ms == 6.0
-        assert merged.detail == {"sort": 3.0, "scan": 5.0}
-
-    def test_defaults(self):
-        assert MeterReading().total_ms == 0.0
+from repro.metering import CpuCounters
 
 
 class TestCpuCountersReset:
