@@ -44,7 +44,7 @@ identity) resolve to "every candidate qualifies".
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import DivisionError, ExecutionError
 from repro.executor.aggregate import HashGroupCount, SortedGroupCount
@@ -131,14 +131,25 @@ class _AggregateDivisionBase(QueryIterator):
 
     def _next(self) -> Optional[Row]:
         assert self._counts is not None
-        cpu = self.ctx.cpu
-        while True:
-            row = self._counts.next()
-            if row is None:
-                return None
-            cpu.comparisons += 1
-            if row[-1] == self.divisor_count:
+        while (row := self._counts.next()) is not None:
+            if self._qualifying((row,)):
                 return row[:-1]
+        return None
+
+    def _next_batch(self) -> list[Row]:
+        assert self._counts is not None
+        while rows := self._counts.next_batch():
+            quotient = self._qualifying(rows)
+            if quotient:
+                return quotient
+        return []
+
+    def _qualifying(self, rows: Sequence[Row]) -> list[Row]:
+        """The candidates among ``rows`` whose count equals the divisor
+        count, one Comp per candidate tested."""
+        self.ctx.cpu.comparisons += len(rows)
+        target = self.divisor_count
+        return [row[:-1] for row in rows if row[-1] == target]
 
     def _close(self) -> None:
         if self._counts is not None:

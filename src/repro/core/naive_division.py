@@ -15,11 +15,20 @@ buffer pool" -- here, a Python list -- and requires duplicate-free,
 sorted inputs.  The plan factory
 (:func:`repro.plan.physical.build_division_operator`, strategy
 ``"naive"``) puts the necessary sorts below the operator.
+
+The merge scan walks the dividend a batch at a time.  The group state
+-- current quotient key, divisor-list position, failed flag, and the
+tuple held back after it broke a group -- lives on the operator, so a
+group may span batches and ``next()`` and ``next_batch()`` may be
+mixed.  A batch returns every quotient tuple its rows complete, with
+the Comp the row-at-a-time walk charges: one per tuple for the group
+test, one more for the tuple that opens the next group, and the
+divisor walk.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import DivisionError, ExecutionError
 from repro.executor.iterator import QueryIterator
@@ -54,6 +63,16 @@ class NaiveDivision(QueryIterator):
         self._quotient_of = projector(dividend.schema, quotient_names)
         self._divisor_of = projector(dividend.schema, divisor_names)
         self._divisor_list: list[tuple] = []
+        self._reset_scan()
+
+    def _reset_scan(self) -> None:
+        #: The current group's quotient key (``None`` between groups),
+        #: its position in the divisor list, and whether a divisor
+        #: tuple has already gone unmatched in it.
+        self._group_key: Row | None = None
+        self._index = 0
+        self._failed = False
+        #: The tuple that broke the last group ``next()`` returned.
         self._pending: Row | None = None
         self._done = False
 
@@ -90,32 +109,60 @@ class NaiveDivision(QueryIterator):
             # must not keep the divisor list of the aborted attempt.
             self._divisor_list = []
             raise
-        self._pending = None
-        self._done = False
+        self._reset_scan()
 
     def _next(self) -> Optional[Row]:
-        if self._done:
-            return None
-        cpu = self.ctx.cpu
+        while not self._done:
+            row, self._pending = self._pending, None
+            if row is None:
+                row = self.dividend.next()
+            quotient = self._end_scan() if row is None else self._walk((row,), first=True)
+            if quotient:
+                return quotient[0]
+        return None
+
+    def _next_batch(self) -> list[Row]:
+        quotient: list[Row] = []
+        if self._pending is not None:
+            row, self._pending = self._pending, None
+            quotient = self._walk((row,))
+        while not quotient and not self._done:
+            rows = self.dividend.next_batch()
+            quotient = self._walk(rows) if rows else self._end_scan()
+        return quotient
+
+    def _walk(self, rows: Sequence[Row], first: bool = False) -> list[Row]:
+        """Merge-scan dividend tuples; returns the quotient tuples of
+        the groups they complete.
+
+        With ``first``, stops at the first completed group and holds
+        back the tuple that completed it, as the row-at-a-time walk
+        does: that tuple's group test and divisor walk are charged when
+        it opens the next group.
+        """
+        quotient_of, divisor_of = self._quotient_of, self._divisor_of
         divisor_list = self._divisor_list
         divisor_len = len(divisor_list)
-        while True:
-            # Fetch the first tuple of the next candidate group.
-            row = self._pending if self._pending is not None else self.dividend.next()
-            self._pending = None
-            if row is None:
-                self._done = True
-                return None
-            group_key = self._quotient_of(row)
-            index = 0
-            failed = False
-            while row is not None:
-                cpu.comparisons += 1  # does the tuple belong to this group?
-                if self._quotient_of(row) != group_key:
-                    break
-                value = self._divisor_of(row)
+        group_key, index, failed = self._group_key, self._index, self._failed
+        quotient: list[Row] = []
+        comparisons = 0
+        try:
+            for row in rows:
+                comparisons += 1  # does the tuple belong to this group?
+                key = quotient_of(row)
+                if key != group_key:
+                    if group_key is not None:
+                        if not failed and index == divisor_len:
+                            quotient.append(group_key)
+                            if first:
+                                group_key, self._pending = None, row
+                                break
+                        # The tuple is tested again as the first of its group.
+                        comparisons += 1
+                    group_key, index, failed = key, 0, False
+                value = divisor_of(row)
                 while index < divisor_len:
-                    cpu.comparisons += 1
+                    comparisons += 1
                     if divisor_list[index] < value:
                         # divisor_list[index] found no match in this group.
                         failed = True
@@ -127,16 +174,24 @@ class NaiveDivision(QueryIterator):
                 # else: the dividend tuple matches no divisor tuple
                 # (e.g. a physics course in the paper's second example);
                 # it is simply skipped.
-                row = self.dividend.next()
-            self._pending = row
-            if not failed and index == divisor_len:
-                return group_key
-            # Group disqualified; continue with the next group.
+        finally:
+            self.ctx.cpu.comparisons += comparisons
+            self._group_key, self._index, self._failed = group_key, index, failed
+        return quotient
+
+    def _end_scan(self) -> list[Row]:
+        """The dividend has ended: the open group's quotient tuple, if
+        it completed the divisor list."""
+        self._done = True
+        group_key, self._group_key = self._group_key, None
+        if group_key is None or self._failed or self._index != len(self._divisor_list):
+            return []
+        return [group_key]
 
     def _close(self) -> None:
         self.dividend.close()
         self._divisor_list = []
-        self._pending = None
+        self._reset_scan()
         self.ctx.tracer.count(
             "repro_division_quotient_tuples_total",
             self.rows_produced,

@@ -394,5 +394,5 @@ def hash_division_with_overflow(
             partitions *= 2
     raise HashTableOverflowError(
         f"hash-division still overflows with {MAX_PARTITIONS} partitions; "
-        "increase the memory budget or max_partitions"
+        "increase the memory budget"
     )

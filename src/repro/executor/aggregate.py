@@ -88,30 +88,48 @@ class SortedGroupCount(QueryIterator):
         self._exhausted = False
 
     def _next(self) -> Optional[Row]:
-        assert self._extract is not None
-        if self._exhausted:
-            return None
-        cpu = self.ctx.cpu
-        while True:
+        while not self._exhausted:
             row = self.input_op.next()
-            if row is None:
-                self._exhausted = True
-                if self._current is not None and self._count > 0:
-                    return self._current + (self._count,)
-                return None
-            group = self._extract(row)
-            if self._current is None:
-                self._current = group
-                self._count = 1
+            finished = self._end() if row is None else self._fold((row,))
+            if finished:
+                return finished[0]
+        return None
+
+    def _next_batch(self) -> list[Row]:
+        finished: list[Row] = []
+        while not finished and not self._exhausted:
+            rows = self.input_op.next_batch()
+            finished = self._fold(rows) if rows else self._end()
+        return finished
+
+    def _fold(self, rows: Sequence[Row]) -> list[Row]:
+        """Count ``rows`` into the open group; returns the groups they
+        close, as (group attributes..., count)."""
+        assert self._extract is not None
+        extract = self._extract
+        current, count, comparisons = self._current, self._count, 0
+        finished: list[Row] = []
+        for row in rows:
+            group = extract(row)
+            if current is None:
+                current, count = group, 1
                 continue
-            cpu.comparisons += 1
-            if group == self._current:
-                self._count += 1
+            comparisons += 1
+            if group == current:
+                count += 1
                 continue
-            finished = self._current + (self._count,)
-            self._current = group
-            self._count = 1
-            return finished
+            finished.append(current + (count,))
+            current, count = group, 1
+        self._current, self._count = current, count
+        self.ctx.cpu.comparisons += comparisons
+        return finished
+
+    def _end(self) -> list[Row]:
+        """The input has ended: the open group, if any."""
+        self._exhausted = True
+        if self._current is not None and self._count > 0:
+            return [self._current + (self._count,)]
+        return []
 
     def _close(self) -> None:
         self.input_op.close()
@@ -205,6 +223,10 @@ class HashGroupCount(QueryIterator):
     def _next(self) -> Optional[Row]:
         assert self._output is not None
         return next(self._output, None)
+
+    def _next_batch(self) -> list[Row]:
+        assert self._output is not None
+        return list(self._output)
 
     def _close(self) -> None:
         if self._table is not None:

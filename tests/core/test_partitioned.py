@@ -157,7 +157,9 @@ class TestOverflowDriver:
         monkeypatch.setattr(partitioned, "MAX_PARTITIONS", 4)
         dividend, divisor = self.make_big()
         ctx = ExecContext(memory_budget=1024)  # hopeless
-        with pytest.raises(HashTableOverflowError, match="with 4 partitions"):
+        with pytest.raises(
+            HashTableOverflowError, match="with 4 partitions; increase the memory budget$"
+        ):
             hash_division_with_overflow(
                 RelationSource(ctx, dividend),
                 RelationSource(ctx, divisor),
