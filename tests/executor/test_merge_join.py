@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.merge_join import MergeJoin, MergeSemiJoin
+from repro.executor.project import Project
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
 
@@ -70,6 +71,12 @@ class TestMergeSemiJoin:
         inner = sorted_source(ctx, ("k",), [(1,)])
         result = run_to_relation(MergeSemiJoin(outer, inner, ["k"]))
         assert result.rows == [(1, 10)]
+
+    def test_outer_must_be_able_to_give_rows_back(self, ctx):
+        outer = Project(sorted_source(ctx, ("k", "a"), [(1, 10)]), ["k"])
+        inner = sorted_source(ctx, ("k",), [(1,)])
+        with pytest.raises(ExecutionError, match="give rows back, not Project"):
+            MergeSemiJoin(outer, inner, ["k"])
 
     def test_paper_semi_join_shape(self, ctx, transcript, courses):
         """The paper's with-join preprocessing: keep only transcript
