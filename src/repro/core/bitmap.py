@@ -14,6 +14,7 @@ inspected during initialization and all-ones scans.
 from __future__ import annotations
 
 from array import array
+from typing import Sequence
 
 from repro.metering import CpuCounters
 
@@ -86,6 +87,30 @@ class Bitmap:
             self.cpu.bit_ops += 1
         return bool(self._words[word] & mask)
 
+    @staticmethod
+    def set_many(
+        bitmaps: Sequence["Bitmap"], indexes: Sequence[int], cpu: CpuCounters | None
+    ) -> list[int]:
+        """Set bit ``indexes[i]`` of ``bitmaps[i]`` for each ``i``, in
+        order; returns the ``i`` whose set made its map full.
+
+        Charges ``cpu`` one ``Bit`` per set, as :meth:`set` does; a map
+        fills on exactly one fresh set, which is where early-output
+        hash-division emits its quotient tuple.  The indexes must be in
+        range for their maps.
+        """
+        filled: list[int] = []
+        for i, (bitmap, index) in enumerate(zip(bitmaps, indexes)):
+            words, word, mask = bitmap._words, index // WORD_BITS, 1 << (index % WORD_BITS)
+            if not words[word] & mask:
+                words[word] |= mask
+                bitmap._set_count += 1
+                if bitmap._set_count == bitmap.nbits:
+                    filled.append(i)
+        if cpu is not None:
+            cpu.bit_ops += len(bitmaps)
+        return filled
+
     # -- whole-map operations -------------------------------------------
 
     @property
@@ -115,23 +140,6 @@ class Bitmap:
             tail_mask = (1 << tail_bits) - 1
             return self._words[full_words] & tail_mask == tail_mask
         return True
-
-    def zero_positions(self) -> list[int]:
-        """Indexes of all zero bits (diagnostics; charges one ``Bit``
-        per word plus one per zero found)."""
-        zeros: list[int] = []
-        for word_index, word in enumerate(self._words):
-            if self.cpu is not None:
-                self.cpu.bit_ops += 1
-            if word == _FULL_WORD:
-                continue
-            base = word_index * WORD_BITS
-            for offset in range(min(WORD_BITS, self.nbits - base)):
-                if not word & (1 << offset):
-                    zeros.append(base + offset)
-                    if self.cpu is not None:
-                        self.cpu.bit_ops += 1
-        return zeros
 
     def __repr__(self) -> str:
         return f"<Bitmap {self._set_count}/{self.nbits} set>"

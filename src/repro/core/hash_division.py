@@ -237,12 +237,9 @@ class HashDivision(QueryIterator):
         # Assign before filling so an overflow mid-build is released by
         # the _open() cleanup path rather than leaked.
         self._divisor_table = table
-        count = 0
-        for row in rows:
-            _, inserted = table.find_or_insert(tuple(row), lambda c=count: c)
-            if inserted:
-                count += 1
-        self._divisor_count = count
+        # Each insert numbers its tuple with the next divisor number.
+        table.find_or_insert_many(list(map(tuple, rows)), itertools.count().__next__)
+        self._divisor_count = len(table)
 
     def _free_divisor_table(self) -> None:
         if self._divisor_table is not None:
@@ -267,62 +264,59 @@ class HashDivision(QueryIterator):
         tuples the early-output variant completes (always ``[]``
         without early output).
 
-        Each tuple is probed with the tables' own metered ``find`` and
-        ``find_or_insert``, and its bit set with :meth:`Bitmap.set`, so
-        every charge and every overflow falls on the same tuple as a
-        tuple-at-a-time loop.
+        The batch is probed with the tables' batch kernels and its bits
+        set with :meth:`Bitmap.set_many`, which charge what a
+        tuple-at-a-time loop would.  When a quotient-table insert
+        fails, exactly the charges that loop had made when it failed
+        stay booked: the divisor probes of later tuples are refunded,
+        and the bits of earlier tuples charged.
         """
-        assert self._divisor_table is not None and self._quotient_table is not None
-        divisor_count = self._divisor_count
-        # Vacuous division: no divisor to find, no bit to set or count.
-        find = None if divisor_count == 0 else self._divisor_table.find
-        find_or_insert = self._quotient_table.find_or_insert
-        divisor_of, quotient_of = self._divisor_of, self._quotient_of
-        new_candidate, early_output = self._new_candidate, self.early_output
+        quotient_table = self._quotient_table
+        assert self._divisor_table is not None and quotient_table is not None
+        divisor_count, early_output = self._divisor_count, self.early_output
+        if divisor_count == 0:
+            # Vacuous division: no divisor to find, no bit to set or
+            # count; every candidate is complete once it exists.
+            keys = list(map(self._quotient_of, rows))
+            _, fresh = quotient_table.find_or_insert_many(keys, self._new_candidate)
+            return fresh if early_output else []
+        divisor_keys = list(map(self._divisor_of, rows))
+        numbers = self._divisor_table.find_many(divisor_keys)
+        matched = None
+        if None in numbers:
+            # Tuples that match no divisor tuple are discarded.
+            matched = [i for i, number in enumerate(numbers) if number is not None]
+            rows = [rows[i] for i in matched]
+            numbers = [numbers[i] for i in matched]
+        keys = list(map(self._quotient_of, rows))
+        try:
+            payloads, _ = quotient_table.find_or_insert_many(keys, self._new_candidate)
+        except Exception:
+            done = sum(1 for _ in itertools.takewhile(quotient_table.__contains__, keys))
+            if done < len(keys):
+                failed = done if matched is None else matched[done]
+                self._divisor_table.refund_probes(divisor_keys[failed + 1 :])
+                if self.mode == "bitmap":
+                    self.ctx.cpu.bit_ops += done
+            raise
+        if self.mode == "bitmap":
+            completed = Bitmap.set_many(payloads, numbers, self.ctx.cpu)
+            return [keys[i] for i in completed] if early_output else []
+        # Counter mode: a candidate completes when its count reaches
+        # the divisor count, which it passes exactly once.
         emitted: list[Row] = []
-        if self.mode == "counter":
-            # Payload: [count], plus "emitted" once produced.
-            for row in rows:
-                if find is not None:
-                    if find(divisor_of(row)) is None:
-                        continue  # no matching divisor tuple: discard
-                quotient_key = quotient_of(row)
-                payload, _ = find_or_insert(quotient_key, new_candidate)
-                if find is not None:
-                    payload[0] += 1
-                if (
-                    early_output
-                    and payload[0] == divisor_count
-                    and (divisor_count > 0 or len(payload) == 1)
-                ):
-                    payload.append("emitted")
-                    emitted.append(quotient_key)
-            return emitted
-        # Payload: [bitmap, emitted_flag].
-        for row in rows:
-            if find is not None:
-                divisor_number = find(divisor_of(row))
-                if divisor_number is None:
-                    continue  # no matching divisor tuple: discard
-            quotient_key = quotient_of(row)
-            payload, _ = find_or_insert(quotient_key, new_candidate)
-            fresh = find is None or payload[0].set(divisor_number)
-            if (
-                early_output
-                and fresh
-                and not payload[1]
-                and payload[0].set_count == divisor_count
-            ):
-                payload[1] = True
-                emitted.append(quotient_key)
+        for key, counter in zip(keys, payloads):
+            counter[0] += 1
+            if counter[0] == divisor_count and early_output:
+                emitted.append(key)
         return emitted
 
     def _new_candidate(self):
         """Payload for a fresh quotient candidate.
 
-        Bitmap mode: ``[bitmap, emitted_flag]``.  Counter mode:
-        ``[count]``.  Bit maps are charged to the memory pool under
-        their own tag so overflow accounting sees them.
+        Bitmap mode: a :class:`Bitmap`.  Counter mode: ``[count]``.  Bit
+        maps are charged to the memory pool under their own tag so
+        overflow accounting sees them.
         """
         if self.mode == "counter":
             return [0]
@@ -332,7 +326,7 @@ class HashDivision(QueryIterator):
             )
         except MemoryPoolError as exc:
             raise HashTableOverflowError(str(exc)) from exc
-        return [Bitmap(self._divisor_count, cpu=self.ctx.cpu), False]
+        return Bitmap(self._divisor_count, cpu=self.ctx.cpu)
 
     # -- step 3: scan the quotient table --------------------------------------------
 
@@ -346,8 +340,6 @@ class HashDivision(QueryIterator):
                 if payload[0] == target
             )
         return (
-            key
-            for key, payload in self._quotient_table.items()
-            if payload[0].all_set()
+            key for key, bitmap in self._quotient_table.items() if bitmap.all_set()
         )
 

@@ -195,10 +195,10 @@ class HashGroupCount(QueryIterator):
                 tag="hash-aggregate",
                 tracer=self.ctx.tracer,
             )
-            find_or_insert = self._table.find_or_insert
+            find_or_insert_many = self._table.find_or_insert_many
             for batch in batches:
-                for row in batch:
-                    counter, _ = find_or_insert(extract(row), _new_counter)
+                counters, _ = find_or_insert_many(list(map(extract, batch)), _new_counter)
+                for counter in counters:
                     counter[0] += 1
             if input_open:
                 self.input_op.close()

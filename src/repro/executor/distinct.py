@@ -18,7 +18,7 @@ divisor and quotient tables).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.executor.hash_table import ChainedHashTable
 from repro.executor.iterator import QueryIterator
@@ -58,14 +58,24 @@ class HashDistinct(QueryIterator):
             raise
 
     def _next(self) -> Optional[Row]:
-        assert self._table is not None
-        while True:
-            row = self.input_op.next()
-            if row is None:
-                return None
-            _, inserted = self._table.find_or_insert(row, lambda: True)
-            if inserted:
+        while (row := self.input_op.next()) is not None:
+            if self._first_occurrences((row,)):
                 return row
+        return None
+
+    def _next_batch(self) -> list[Row]:
+        while batch := self.input_op.next_batch():
+            rows = self._first_occurrences(batch)
+            if rows:
+                return rows
+        return []
+
+    def _first_occurrences(self, rows: Sequence[Row]) -> list[Row]:
+        """Insert ``rows`` into the table; returns those it had not
+        seen, in input order."""
+        assert self._table is not None
+        _, fresh = self._table.find_or_insert_many(rows, lambda: True)
+        return fresh
 
     def _close(self) -> None:
         self.input_op.close()

@@ -13,6 +13,7 @@ pipelines only need the semi-join.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -67,11 +68,9 @@ class HashSemiJoin(QueryIterator):
             tracer=self.ctx.tracer,
         )
         try:
-            for row in rows:
-                key = self._build_key(row)
-                # Build-side duplicates would only lengthen chains; keep
-                # one entry per key (a semi-join needs existence only).
-                _, _inserted = self._table.find_or_insert(key, lambda: True)
+            # Build-side duplicates would only lengthen chains; keep one
+            # entry per key (a semi-join needs existence only).
+            self._table.find_or_insert_many(list(map(self._build_key, rows)), lambda: True)
             self.probe.open()
         except BaseException:
             # Overflow mid-build or a failed probe open must not leak
@@ -81,22 +80,24 @@ class HashSemiJoin(QueryIterator):
             raise
 
     def _next(self) -> Optional[Row]:
-        assert self._table is not None
-        while True:
-            row = self.probe.next()
-            if row is None:
-                return None
-            if self._table.find(self._probe_key(row)) is not None:
+        while (row := self.probe.next()) is not None:
+            if self._matching((row,)):
                 return row
+        return None
 
     def _next_batch(self) -> list[Row]:
-        assert self._table is not None
-        find, key = self._table.find, self._probe_key
         while batch := self.probe.next_batch():
-            rows = [row for row in batch if find(key(row)) is not None]
+            rows = self._matching(batch)
             if rows:
                 return rows
         return []
+
+    def _matching(self, batch: Sequence[Row]) -> list[Row]:
+        """The rows of ``batch`` whose key is in the build table."""
+        assert self._table is not None
+        found = self._table.find_many(list(map(self._probe_key, batch)))
+        # A build payload is True and a miss None.
+        return list(compress(batch, found))
 
     def _close(self) -> None:
         self.probe.close()

@@ -6,19 +6,41 @@ file system's memory manager to allocate space for hash tables, bit
 maps, and chain elements." (Section 5.1.)
 
 :class:`ChainedHashTable` is that structure: an array of buckets, each
-a chain of (key, payload) entries.  Every operation is metered --
-computing a hash value charges one ``Hash``, every chain entry
-inspected during a probe charges one ``Comp`` -- and every entry is
+a chain of keys, plus a dict index from each key to its payload and to
+its 1-based position in its chain.  Every probe is metered in Table 1
+units -- computing a hash value charges one ``Hash``, every chain entry
+a probe would inspect charges one ``Comp`` -- and every entry is
 charged against the :class:`~repro.storage.memory.MemoryPool`, so a
 budget-limited table overflows with
 :class:`~repro.errors.HashTableOverflowError` exactly when the paper's
 would spill.
+
+The table only appends and frees as a whole, so a key's chain position
+never changes and every charge has a closed form:
+
+* a probe costs one ``Hash``;
+* a hit costs ``Comp`` equal to the key's chain position (the chain is
+  walked up to and including it);
+* a miss costs ``Comp`` equal to the length of the key's chain.
+
+The index finds the answer, and the charge is arithmetic over the
+positions, so the batch probes :meth:`ChainedHashTable.find_many` and
+:meth:`~ChainedHashTable.find_or_insert_many` resolve a whole list of
+keys with a C-level ``map`` instead of one metered call per key.
+:meth:`~ChainedHashTable.find_or_insert_many` inserts a batch's new
+keys first, in first-occurrence order, through the per-key
+:meth:`~ChainedHashTable.find_or_insert`.  Hits do not allocate, so
+every allocation -- and so every overflow -- falls on the same key as
+in a key-at-a-time loop, each new key meets the chain length that loop
+would have met, and when an insert fails exactly the probes up to and
+including the failing key stay charged.  The buckets still fix the
+order of :meth:`~ChainedHashTable.items` (Figure 1, step 3).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import HashTableOverflowError, MemoryPoolError
 from repro.metering import CpuCounters
@@ -39,7 +61,8 @@ class ChainedHashTable:
     """A metered, memory-budgeted, bucket-chained hash table.
 
     Keys are hashable tuples; payloads are arbitrary (often mutable,
-    e.g. a bit map or a counter list, so probes can update in place).
+    e.g. a bit map or a counter list, so probes can update in place)
+    but never ``None``, which the probes return for a missing key.
 
     Args:
         cpu: Counter sink for ``Hash``/``Comp`` charges.
@@ -75,8 +98,10 @@ class ChainedHashTable:
         self.tracer = tracer
         #: Times this table hit the memory budget (any operation).
         self.overflows = 0
-        self._buckets: list[list[list[Any]]] = [[] for _ in range(bucket_count)]
-        self._size = 0
+        self._buckets: list[list[tuple]] = [[] for _ in range(bucket_count)]
+        #: The index: key -> payload, and key -> 1-based chain position.
+        self._payloads: dict[tuple, Any] = {}
+        self._positions: dict[tuple, int] = {}
         self._freed = False
         try:
             memory.allocate(bucket_count * BUCKET_HEADER_BYTES, tag=self.tag)
@@ -115,84 +140,177 @@ class ChainedHashTable:
     # -- observers -------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._payloads)
+
+    def __contains__(self, key: tuple) -> bool:
+        """Whether ``key`` is in the table; charges nothing.  For a
+        consumer's bookkeeping after a batch failed, not for probing."""
+        return key in self._payloads
 
     @property
     def average_chain_length(self) -> float:
         """Observed mean entries per non-empty bucket."""
         occupied = sum(1 for b in self._buckets if b)
-        return 0.0 if occupied == 0 else self._size / occupied
+        return 0.0 if occupied == 0 else len(self) / occupied
 
-    # -- operations ----------------------------------------------------------
+    # -- per-key probes ----------------------------------------------------
 
-    def insert(self, key: tuple, payload: Any) -> None:
-        """Append an entry without checking for duplicates.
+    def find(self, key: tuple) -> Any | None:
+        """Probe for ``key``; returns the payload or ``None``.
 
-        Charges one ``Hash`` plus memory for the chain element and
-        payload.
+        Charges one ``Hash`` plus the ``Comp`` of the chain entries a
+        walk inspects: up to the key's position, or the whole chain.
+        """
+        if self._freed:
+            self._check_live()
+        cpu = self.cpu
+        cpu.hashes += 1
+        position = self._positions.get(key)
+        if position is None:
+            cpu.comparisons += self._chain_length(key)
+            return None
+        cpu.comparisons += position
+        return self._payloads[key]
+
+    def find_or_insert(self, key: tuple, make_payload: Callable[[], Any]) -> tuple[Any, bool]:
+        """Probe for ``key``; insert ``make_payload()`` when absent.
+
+        Returns ``(payload, inserted)``.  One hash computation serves
+        both the probe and the insert, which charges the chain element
+        and the payload bytes to the memory pool.
 
         Raises:
             HashTableOverflowError: when the memory pool is exhausted.
         """
         if self._freed:
             self._check_live()
-        self.cpu.hashes += 1
-        bucket = self._buckets[hash(key) % self.bucket_count]
-        try:
-            self.memory.allocate(CHAIN_ELEMENT_BYTES + self.entry_bytes, tag=self.tag)
-        except MemoryPoolError as exc:
-            raise self._overflow(exc, site="insert") from exc
-        bucket.append([key, payload])
-        self._size += 1
-
-    def find(self, key: tuple) -> Any | None:
-        """Probe for ``key``; returns the payload or ``None``.
-
-        Charges one ``Hash`` plus one ``Comp`` per chain entry
-        inspected (entries are inspected until a match is found or the
-        chain ends).
-        """
-        if self._freed:
-            self._check_live()
         cpu = self.cpu
         cpu.hashes += 1
-        for entry in self._buckets[hash(key) % self.bucket_count]:
-            cpu.comparisons += 1
-            if entry[0] == key:
-                return entry[1]
-        return None
-
-    def find_or_insert(self, key: tuple, make_payload) -> tuple[Any, bool]:
-        """Probe for ``key``; insert ``make_payload()`` when absent.
-
-        Returns ``(payload, inserted)``.  This is the inner loop of
-        hash aggregation and of hash-division's quotient table: one
-        hash computation serves both the probe and the insert.
-        """
-        if self._freed:
-            self._check_live()
-        cpu = self.cpu
-        cpu.hashes += 1
+        position = self._positions.get(key)
+        if position is not None:
+            cpu.comparisons += position
+            return self._payloads[key], False
         bucket = self._buckets[hash(key) % self.bucket_count]
-        for entry in bucket:
-            cpu.comparisons += 1
-            if entry[0] == key:
-                return entry[1], False
+        cpu.comparisons += len(bucket)
         try:
             self.memory.allocate(CHAIN_ELEMENT_BYTES + self.entry_bytes, tag=self.tag)
         except MemoryPoolError as exc:
             raise self._overflow(exc, site="find_or_insert") from exc
         payload = make_payload()
-        bucket.append([key, payload])
-        self._size += 1
+        bucket.append(key)
+        self._payloads[key] = payload
+        self._positions[key] = len(bucket)
         return payload, True
+
+    # -- batch probes ------------------------------------------------------
+
+    def find_many(self, keys: Sequence[tuple]) -> list[Any | None]:
+        """:meth:`find` for each of ``keys``: the payloads, ``None`` for
+        a missing key, with the same charges in total."""
+        if len(keys) == 1:
+            # One key costs what find() costs, since serve pulls row by
+            # row: a hit is charged here, and a miss (or a freed table,
+            # which holds no key) goes to find().
+            key = keys[0]
+            position = self._positions.get(key)
+            if position is None:
+                return [self.find(key)]
+            cpu = self.cpu
+            cpu.hashes += 1
+            cpu.comparisons += position
+            return [self._payloads[key]]
+        if self._freed:
+            self._check_live()
+        found = list(map(self._payloads.get, keys))
+        self.cpu.hashes += len(keys)
+        self.cpu.comparisons += self._probe_comparisons(keys, found)
+        return found
+
+    def refund_probes(self, keys: Sequence[tuple]) -> None:
+        """Take back what :meth:`find_many` charged for ``keys``.
+
+        For a consumer whose batch failed before it reached these
+        keys: a key-at-a-time loop would never have probed them.
+        """
+        found = list(map(self._payloads.get, keys))
+        self.cpu.hashes -= len(keys)
+        self.cpu.comparisons -= self._probe_comparisons(keys, found)
+
+    def find_or_insert_many(
+        self, keys: Sequence[tuple], make_payload: Callable[[], Any]
+    ) -> tuple[list[Any], list[tuple]]:
+        """:meth:`find_or_insert` for each of ``keys``, in order.
+
+        Returns the payloads, one per key, and the keys this call
+        inserted in first-occurrence order.  The new keys are inserted
+        first, through :meth:`find_or_insert`, and every other probe is
+        then a hit charged by its position -- the same allocations and
+        charges as a key-at-a-time loop.  If an insert fails, the probes
+        before the failing key are charged as that loop would have
+        charged them, and the error propagates.
+        """
+        if len(keys) == 1:
+            # One key costs what find_or_insert() costs, as in find_many.
+            key = keys[0]
+            position = self._positions.get(key)
+            if position is None:
+                return [self.find_or_insert(key, make_payload)[0]], [key]
+            cpu = self.cpu
+            cpu.hashes += 1
+            cpu.comparisons += position
+            return [self._payloads[key]], []
+        if self._freed:
+            self._check_live()
+        payloads = self._payloads
+        # An empty table holds none of the keys; otherwise look them up
+        # first, since most batches of a warm table only hit.
+        found = list(map(payloads.get, keys)) if payloads else None
+        fresh: list[tuple] = []
+        if found is None or None in found:
+            fresh = list(itertools.filterfalse(payloads.__contains__, dict.fromkeys(keys)))
+            find_or_insert = self.find_or_insert
+            try:
+                for key in fresh:
+                    find_or_insert(key, make_payload)
+            except Exception:
+                # ``key`` failed: charge the hits a loop met before it.
+                self._charge_hits(keys[: keys.index(key)], fresh[: fresh.index(key)])
+                raise
+            found = list(map(payloads.__getitem__, keys))
+        self._charge_hits(keys, fresh)
+        return found, fresh
+
+    def _charge_hits(self, keys: Sequence[tuple], inserted: Sequence[tuple]) -> None:
+        """Charge ``keys`` as hits, except the first probe of each key
+        in ``inserted``, which :meth:`find_or_insert` charged."""
+        positions = self._positions
+        self.cpu.hashes += len(keys) - len(inserted)
+        self.cpu.comparisons += sum(map(positions.__getitem__, keys)) - sum(
+            map(positions.__getitem__, inserted)
+        )
+
+    def _probe_comparisons(self, keys: Sequence[tuple], found: list) -> int:
+        """``Comp`` of probing ``keys``, whose payloads are ``found``."""
+        comparisons = sum(map(self._positions.get, keys, itertools.repeat(0)))
+        if None in found:
+            chain_length = self._chain_length
+            comparisons += sum(
+                chain_length(key) for key, payload in zip(keys, found) if payload is None
+            )
+        return comparisons
+
+    def _chain_length(self, key: tuple) -> int:
+        return len(self._buckets[hash(key) % self.bucket_count])
+
+    # -- scan and release ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple, Any]]:
         """Scan all entries bucket by bucket (Figure 1, step 3)."""
         self._check_live()
+        payloads = self._payloads
         for bucket in self._buckets:
-            for key, payload in bucket:
-                yield key, payload
+            for key in bucket:
+                yield key, payloads[key]
 
     def free(self) -> None:
         """Release the table's memory ("free divisor table", Figure 1)."""
@@ -200,7 +318,8 @@ class ChainedHashTable:
             return
         self.memory.free_all(tag=self.tag)
         self._buckets = []
-        self._size = 0
+        self._payloads = {}
+        self._positions = {}
         self._freed = True
 
     def _check_live(self) -> None:
@@ -209,6 +328,6 @@ class ChainedHashTable:
 
     def __repr__(self) -> str:
         return (
-            f"<ChainedHashTable {self.tag} {self._size} entries in "
+            f"<ChainedHashTable {self.tag} {len(self)} entries in "
             f"{self.bucket_count} buckets>"
         )

@@ -20,6 +20,7 @@ every sort is.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -193,17 +194,25 @@ class MergeSemiJoin(QueryIterator):
         """The rows of ``batch`` with an inner match, advancing the
         inner input as far as the batch's keys reach.
 
-        On the row that finds the inner input ended, the operator
-        finishes and gives the rest of the batch back to the outer
-        input.
+        Works one run of equal outer keys at a time (the batch is
+        sorted on them, so ``bisect_right`` finds the run's end).  The
+        run's first row advances the inner input, one Comp per inner
+        key passed, then makes one not-less test and one equality test;
+        every later row of the run makes those two tests against the
+        same inner key, with the same outcome, so the run costs
+        ``2 * length`` Comp on top of the advance.  On the row that
+        finds the inner input ended, the operator finishes and gives
+        the rest of the batch back to the outer input.
         """
         outer_key = self._outer_key
         current = self._current_inner
         matched: list[Row] = []
         comparisons = 0
+        start, size = 0, len(batch)
         try:
-            for index, row in enumerate(batch):
-                key = outer_key(row)
+            while start < size:
+                key = outer_key(batch[start])
+                end = bisect_right(batch, key, start, size, key=outer_key)
                 while current is not None:
                     comparisons += 1
                     if current < key:
@@ -212,13 +221,15 @@ class MergeSemiJoin(QueryIterator):
                     break
                 if current is None:
                     self._finished = True
-                    rest = len(batch) - index - 1
+                    rest = size - start - 1
                     if rest:
                         self.outer.unread(rest)
                     break
-                comparisons += 1
+                # The first row's equality test, two tests per later row.
+                comparisons += 2 * (end - start) - 1
                 if current == key:
-                    matched.append(row)
+                    matched.extend(batch[start:end])
+                start = end
         finally:
             self.ctx.cpu.comparisons += comparisons
             self._current_inner = current

@@ -33,11 +33,14 @@ row by row.  The final merge hands out one stretch per
 :meth:`~repro.executor.iterator.QueryIterator.next_batch`; a merge pass
 appends one stretch at a time to its output run.
 
-Aggregation during sorting is expressed with a :class:`Reducer`: every
-input row is first mapped through ``init`` (e.g. ``(sid, cid) ->
-(sid, 1)``) and rows with equal sort keys are folded with ``combine``
-(e.g. add the counts).  ``distinct=True`` is the special case "keep the
-first of equal rows".
+Aggregation during sorting is a COUNT(*) per group, expressed with a
+:class:`Reducer`.  Run generation maps each input row to its group key
+(e.g. ``(sid, cid) -> (sid,)``) with one C-level ``map`` per batch,
+sorts the keys and turns each run of equal keys into one row
+``(sid, count)`` from the run's length (``itertools.groupby``), with
+the Comp of an adjacent-pair collapse.  Merging folds equal keys with
+``combine`` (add the counts).  ``distinct=True`` is the special case
+"keep the first of equal rows".
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -58,16 +61,19 @@ from repro.storage.heapfile import HeapFile
 
 @dataclass(frozen=True)
 class Reducer:
-    """Fold rows with equal sort keys into one row.
+    """COUNT(*) per group, folded into the sort.
 
     Attributes:
-        output_schema: Schema of transformed rows (``init`` output).
-        init: Map an input row to its one-row accumulator.
-        combine: Fold two accumulators with equal sort keys.
+        output_schema: Schema of the output rows: the group attributes
+            followed by ``count``.
+        group_names: The group attributes, which are also the sort key.
+        group: Map an input row to its group key.
+        combine: Fold two output rows with equal group keys.
     """
 
     output_schema: Schema
-    init: Callable[[Row], Row]
+    group_names: tuple[str, ...]
+    group: Callable[[Row], tuple]
     combine: Callable[[Row, Row], Row]
 
 
@@ -83,15 +89,13 @@ def count_reducer(input_schema: Schema, group_names: Sequence[str]) -> Reducer:
     output_schema = Schema(
         tuple(input_schema.project(group_names)) + (Attribute("count"),)
     )
-    extract = projector(input_schema, group_names)
-
-    def init(row: Row) -> Row:
-        return extract(row) + (1,)
 
     def combine(a: Row, b: Row) -> Row:
         return a[:-1] + (a[-1] + b[-1],)
 
-    return Reducer(output_schema, init, combine)
+    return Reducer(
+        output_schema, tuple(group_names), projector(input_schema, group_names), combine
+    )
 
 
 def _sort_key(schema: Schema, names: Sequence[str]) -> Callable[[Row], object] | None:
@@ -138,6 +142,11 @@ class ExternalSort(BufferedIterator):
     ) -> None:
         if distinct and reducer is not None:
             raise ExecutionError("pass either distinct=True or a reducer, not both")
+        if reducer is not None and tuple(key_names) != reducer.group_names:
+            raise ExecutionError(
+                f"a counting sort sorts on its group attributes {reducer.group_names}, "
+                f"not {tuple(key_names)}"
+            )
         schema = reducer.output_schema if reducer is not None else input_op.schema
         super().__init__(input_op.ctx, schema)
         self.input_op = input_op
@@ -217,27 +226,32 @@ class ExternalSort(BufferedIterator):
         """Quicksort one chunk and collapse equal keys.
 
         Charges the paper's quicksort bound, then one comparison per
-        adjacent pair inspected during the collapse.
+        adjacent pair inspected during the collapse.  A counting sort's
+        chunk holds group keys: sorted, each run of equal keys becomes
+        one output row carrying the run's length.
         """
         n = len(chunk)
         if n > 1:
             self.ctx.cpu.comparisons += int(2 * n * math.log2(n))
+        if self.reducer is not None:
+            chunk.sort()
+            self.ctx.cpu.comparisons += max(0, n - 1)
+            return [key + (len(list(run)),) for key, run in groupby(chunk)]
         chunk.sort(key=self._key)
         return self._collapse(chunk)
 
     def _collapse(self, sorted_rows: list[Row]) -> list[Row]:
-        if not (self.distinct or self.reducer) or not sorted_rows:
+        """Drop full duplicates from ``sorted_rows`` if ``distinct``."""
+        if not self.distinct or not sorted_rows:
             return sorted_rows
         out: list[Row] = [sorted_rows[0]]
-        key, reducer = self._key, self.reducer
+        key = self._key
         keys = iter(sorted_rows if key is None else map(key, sorted_rows))
         last_key = next(keys)
         self.ctx.cpu.comparisons += len(sorted_rows) - 1
         for row, row_key in zip(islice(sorted_rows, 1, None), keys):
             if row_key == last_key:
-                if reducer is not None:
-                    out[-1] = reducer.combine(out[-1], row)
-                elif row != out[-1]:
+                if row != out[-1]:
                     # distinct removes only full duplicates; a row that
                     # shares the key but differs elsewhere is kept.
                     out.append(row)
@@ -254,10 +268,10 @@ class ExternalSort(BufferedIterator):
         ``self._runs`` and returns ``None``.
         """
         chunk: list[Row] = []
-        init = self.reducer.init if self.reducer is not None else None
+        group = self.reducer.group if self.reducer is not None else None
         for batch in iter(self.input_op.next_batch, []):
-            if init is not None:
-                batch = [init(row) for row in batch]
+            if group is not None:
+                batch = list(map(group, batch))
             # Write a run after exactly ``capacity`` rows, as pulling
             # row by row would, before the rest of the batch goes on.
             start = 0

@@ -26,54 +26,19 @@ def projector(schema: Schema, names: Sequence[str]) -> KeyFunction:
 
     The returned callable maps a row to the tuple of values at the
     positions of ``names`` (in the order given).  Name resolution
-    happens once, here.
+    happens once, here, and the key is built in C: the row itself for
+    the whole row, a slice for contiguous positions (one position
+    included), and ``itemgetter`` otherwise.
     """
     positions = schema.positions_of(names)
     if positions == tuple(range(len(schema))):
         return _identity
-    if len(positions) == 1:
-        only = positions[0]
-        return lambda row: (row[only],)
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
     # With two or more positions itemgetter already returns a tuple.
     return itemgetter(*positions)
 
 
 def _identity(row: Row) -> Row:
     return row
-
-
-def key_extractor(schema: Schema, names: Sequence[str]) -> KeyFunction:
-    """Alias of :func:`projector`; reads better at call sites that use
-    the result as a sort or hash key rather than as output."""
-    return projector(schema, names)
-
-
-def composite_key(primary: KeyFunction, secondary: KeyFunction) -> KeyFunction:
-    """Compose two key extractors into one (major key, minor key).
-
-    The naive division algorithm sorts the dividend on the quotient
-    attributes as major and the divisor attributes as minor sort key
-    (Section 2.1); this builds exactly that compound key.
-    """
-    return lambda row: primary(row) + secondary(row)
-
-
-def concat_rows(left: Row, right: Row) -> Row:
-    """Concatenate two rows (Cartesian product / join output shape)."""
-    return left + right
-
-
-def rows_equal_on(
-    schema_a: Schema,
-    schema_b: Schema,
-    names: Sequence[str],
-) -> Callable[[Row, Row], bool]:
-    """Compile an equality test between rows of two schemas on the
-    commonly named attributes ``names``."""
-    positions_a = schema_a.positions_of(names)
-    positions_b = schema_b.positions_of(names)
-
-    def equal(row_a: Row, row_b: Row) -> bool:
-        return all(row_a[i] == row_b[j] for i, j in zip(positions_a, positions_b))
-
-    return equal

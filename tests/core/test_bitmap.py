@@ -1,6 +1,7 @@
 """Tests for the word-at-a-time bit map."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bitmap import WORD_BITS, Bitmap
 from repro.metering import CpuCounters
@@ -60,13 +61,6 @@ class TestAllSet:
                     holey.set(i)
             assert not holey.all_set(), size
 
-    def test_zero_positions(self):
-        bitmap = Bitmap(130)
-        for i in range(130):
-            if i not in (0, 64, 129):
-                bitmap.set(i)
-        assert bitmap.zero_positions() == [0, 64, 129]
-
 
 class TestSizing:
     def test_size_bytes_word_aligned(self):
@@ -114,3 +108,26 @@ class TestMetering:
         bitmap.set(0)
         bitmap.all_set()
         assert bitmap.cpu is None
+
+
+@given(
+    sizes=st.lists(st.integers(1, 150), min_size=1, max_size=4),
+    sets=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 149)), max_size=120),
+)
+@settings(max_examples=150, deadline=None)
+def test_set_many_matches_set_one_at_a_time(sizes, sets):
+    """Bitmap.set_many sets the bits, counts and charges of a set()
+    loop, and names the sets that fill a map."""
+    pairs = [(m % len(sizes), i % sizes[m % len(sizes)]) for m, i in sets]
+    one_cpu, many_cpu = CpuCounters(), CpuCounters()
+    one = [Bitmap(size, cpu=one_cpu) for size in sizes]
+    many = [Bitmap(size, cpu=many_cpu) for size in sizes]
+    filled = []
+    for n, (m, i) in enumerate(pairs):
+        if one[m].set(i) and one[m].set_count == one[m].nbits:
+            filled.append(n)
+    assert Bitmap.set_many([many[m] for m, _ in pairs], [i for _, i in pairs], many_cpu) == filled
+    assert many_cpu == one_cpu
+    for a, b in zip(one, many):
+        assert a.set_count == b.set_count
+        assert [a.test(i) for i in range(a.nbits)] == [b.test(i) for i in range(b.nbits)]

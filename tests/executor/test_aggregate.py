@@ -1,6 +1,7 @@
 """Tests for the aggregation operators."""
 
 from repro.executor.aggregate import HashGroupCount, ScalarCount, SortedGroupCount
+from repro.executor.hash_table import ChainedHashTable
 from repro.executor.iterator import run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -75,6 +76,25 @@ class TestHashGroupCount:
         rows = [(i, 0) for i in range(100)]
         plan = HashGroupCount(source(ctx, ("g", "x"), rows), ["g"])
         assert len(run_to_relation(plan)) == 100
+
+    def test_drained_input_inserts_each_group_once(self, ctx, monkeypatch):
+        """Without a sizing hint the input is one batch.  Only its new
+        keys take the per-key path, once each: a lookup before the
+        inserts would send every row of a cold table down it."""
+        calls = {"find": 0, "find_or_insert": 0}
+        for name in calls:
+            original = getattr(ChainedHashTable, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ChainedHashTable, name, counted)
+        rows = [(i % 40, i) for i in range(400)]
+        result = run_to_relation(HashGroupCount(source(ctx, ("g", "x"), rows), ["g"]))
+        assert sorted(result.rows) == [(g, 10) for g in range(40)]
+        assert calls == {"find": 0, "find_or_insert": 40}
+        assert ctx.cpu.hashes == 400
 
     def test_memory_freed_after_close(self, ctx):
         plan = HashGroupCount(source(ctx, ("g",), [(1,)]), ["g"])

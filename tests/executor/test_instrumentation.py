@@ -87,7 +87,7 @@ class TestHashTableOverflowCounters:
     def fill_until_overflow(self, table: ChainedHashTable) -> None:
         with pytest.raises(HashTableOverflowError):
             for i in range(1000):
-                table.insert((i,), i)
+                table.find_or_insert((i,), lambda i=i: i)
 
     def test_overflow_attribute_counts(self):
         table = self.tight_table()
@@ -103,7 +103,7 @@ class TestHashTableOverflowCounters:
             tracer.metrics.value(
                 "repro_hash_table_overflows_total",
                 table="test-table",
-                site="insert",
+                site="find_or_insert",
             )
             == 1
         )

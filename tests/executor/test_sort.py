@@ -47,6 +47,12 @@ class TestInMemorySort:
                 RelationSource(ctx, relation), ["a"], distinct=True, reducer=reducer
             )
 
+    def test_counting_sort_sorts_on_its_group_attributes(self, ctx):
+        relation = Relation.of_ints(("a", "b"), [])
+        reducer = count_reducer(relation.schema, ["a"])
+        with pytest.raises(ExecutionError):
+            ExternalSort(RelationSource(ctx, relation), ["count"], reducer=reducer)
+
     def test_charges_quicksort_comparisons(self, ctx):
         relation = Relation.of_ints(("a",), [(i,) for i in range(64)])
         run_to_relation(ExternalSort(RelationSource(ctx, relation), ["a"]))

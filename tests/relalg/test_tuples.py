@@ -1,13 +1,9 @@
 """Tests for the positional tuple helpers."""
 
+from hypothesis import given, strategies as st
+
 from repro.relalg.schema import Schema
-from repro.relalg.tuples import (
-    composite_key,
-    concat_rows,
-    key_extractor,
-    projector,
-    rows_equal_on,
-)
+from repro.relalg.tuples import projector
 
 
 class TestProjector:
@@ -27,30 +23,25 @@ class TestProjector:
         row = (1, 2)
         assert project(row) is row
 
-    def test_key_extractor_is_projector(self):
-        schema = Schema.of_ints("a", "b")
-        assert key_extractor(schema, ["a"])((5, 6)) == (5,)
+    def test_contiguous_positions_slice_the_row(self):
+        schema = Schema.of_ints("a", "b", "c", "d")
+        assert projector(schema, ["b", "c"])((1, 2, 3, 4)) == (2, 3)
 
 
-class TestCompositeKey:
-    def test_major_minor_order(self):
-        schema = Schema.of_ints("q", "d")
-        major = projector(schema, ["q"])
-        minor = projector(schema, ["d"])
-        key = composite_key(major, minor)
-        assert key((1, 2)) == (1, 2)
-        # Sorting by the composite key orders by q first, then d.
-        rows = [(2, 1), (1, 9), (1, 2)]
-        assert sorted(rows, key=key) == [(1, 2), (1, 9), (2, 1)]
+@st.composite
+def schemas_and_names(draw):
+    """A schema of 1-6 attributes, names drawn from it (each at most
+    once, in any order), and a row."""
+    width = draw(st.integers(1, 6))
+    names = [f"a{i}" for i in range(width)]
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=width, unique=True))
+    row = tuple(draw(st.lists(st.integers(), min_size=width, max_size=width)))
+    return Schema.of_ints(*names), chosen, row
 
 
-class TestRowHelpers:
-    def test_concat_rows(self):
-        assert concat_rows((1,), (2, 3)) == (1, 2, 3)
-
-    def test_rows_equal_on_differing_positions(self):
-        left = Schema.of_ints("x", "k")
-        right = Schema.of_ints("k", "y")
-        equal = rows_equal_on(left, right, ["k"])
-        assert equal((0, 7), (7, 9))
-        assert not equal((0, 7), (8, 9))
+@given(schemas_and_names())
+def test_projector_returns_the_tuple_at_the_positions(case):
+    schema, names, row = case
+    key = projector(schema, names)(row)
+    assert type(key) is tuple
+    assert key == tuple(row[p] for p in schema.positions_of(names))
