@@ -278,7 +278,9 @@ class HashDivision(QueryIterator):
             # Vacuous division: no divisor to find, no bit to set or
             # count; every candidate is complete once it exists.
             keys = list(map(self._quotient_of, rows))
-            _, fresh = quotient_table.find_or_insert_many(keys, self._new_candidate)
+            _, fresh = quotient_table.find_or_insert_many(
+                keys, self._new_candidate, self._candidate_allocation
+            )
             return fresh if early_output else []
         divisor_keys = list(map(self._divisor_of, rows))
         numbers = self._divisor_table.find_many(divisor_keys)
@@ -290,7 +292,9 @@ class HashDivision(QueryIterator):
             numbers = [numbers[i] for i in matched]
         keys = list(map(self._quotient_of, rows))
         try:
-            payloads, _ = quotient_table.find_or_insert_many(keys, self._new_candidate)
+            payloads, _ = quotient_table.find_or_insert_many(
+                keys, self._new_candidate, self._candidate_allocation
+            )
         except Exception:
             done = sum(1 for _ in itertools.takewhile(quotient_table.__contains__, keys))
             if done < len(keys):
@@ -314,19 +318,20 @@ class HashDivision(QueryIterator):
     def _new_candidate(self):
         """Payload for a fresh quotient candidate.
 
-        Bitmap mode: a :class:`Bitmap`.  Counter mode: ``[count]``.  Bit
-        maps are charged to the memory pool under their own tag so
-        overflow accounting sees them.
+        Bitmap mode: a :class:`Bitmap`.  Counter mode: ``[count]``.  The
+        quotient table books a bit map's bytes under its own tag
+        (:attr:`_candidate_allocation`) so overflow accounting sees them.
         """
         if self.mode == "counter":
             return [0]
-        try:
-            self.ctx.memory.allocate(
-                Bitmap.bytes_for(self._divisor_count), tag=self._bitmap_tag
-            )
-        except MemoryPoolError as exc:
-            raise HashTableOverflowError(str(exc)) from exc
         return Bitmap(self._divisor_count, cpu=self.ctx.cpu)
+
+    @property
+    def _candidate_allocation(self) -> tuple[int, str] | None:
+        """``(size, tag)`` of a fresh candidate's bit map, if any."""
+        if self.mode == "counter":
+            return None
+        return Bitmap.bytes_for(self._divisor_count), self._bitmap_tag
 
     # -- step 3: scan the quotient table --------------------------------------------
 

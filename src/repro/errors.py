@@ -85,6 +85,10 @@ class RecordNotFoundError(StorageError):
 class MemoryPoolError(StorageError):
     """The main-memory manager ran out of its configured budget."""
 
+    #: Allocations of a :meth:`~repro.storage.memory.MemoryPool.allocate_run`
+    #: booked before the one that failed.
+    allocated: int = 0
+
 
 class BTreeError(StorageError):
     """A B+-tree structural invariant would be violated."""

@@ -28,19 +28,24 @@ positions, so the batch probes :meth:`ChainedHashTable.find_many` and
 :meth:`~ChainedHashTable.find_or_insert_many` resolve a whole list of
 keys with a C-level ``map`` instead of one metered call per key.
 :meth:`~ChainedHashTable.find_or_insert_many` inserts a batch's new
-keys first, in first-occurrence order, through the per-key
-:meth:`~ChainedHashTable.find_or_insert`.  Hits do not allocate, so
-every allocation -- and so every overflow -- falls on the same key as
-in a key-at-a-time loop, each new key meets the chain length that loop
-would have met, and when an insert fails exactly the probes up to and
-including the failing key stay charged.  The buckets still fix the
-order of :meth:`~ChainedHashTable.items` (Figure 1, step 3).
+keys first, in first-occurrence order, in one loop: the memory pool
+books all their chain elements (and hash-division's bit maps, which
+interleave with them) in one
+:meth:`~repro.storage.memory.MemoryPool.allocate_run`, so no new key
+goes through the per-key :meth:`~ChainedHashTable.find_or_insert`.
+Hits do not allocate, so every allocation -- and so every overflow --
+falls on the same key as in a key-at-a-time loop, each new key meets
+the chain length that loop would have met, and when an insert fails
+exactly the probes up to and including the failing key stay charged.
+The buckets still fix the order of :meth:`~ChainedHashTable.items`
+(Figure 1, step 3).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator, Sequence
+import operator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import HashTableOverflowError, MemoryPoolError
 from repro.metering import CpuCounters
@@ -237,28 +242,34 @@ class ChainedHashTable:
         self.cpu.comparisons -= self._probe_comparisons(keys, found)
 
     def find_or_insert_many(
-        self, keys: Sequence[tuple], make_payload: Callable[[], Any]
+        self,
+        keys: Sequence[tuple],
+        make_payload: Callable[[], Any],
+        payload_allocation: tuple[int, str] | None = None,
     ) -> tuple[list[Any], list[tuple]]:
         """:meth:`find_or_insert` for each of ``keys``, in order.
 
         Returns the payloads, one per key, and the keys this call
         inserted in first-occurrence order.  The new keys are inserted
-        first, through :meth:`find_or_insert`, and every other probe is
-        then a hit charged by its position -- the same allocations and
-        charges as a key-at-a-time loop.  If an insert fails, the probes
-        before the failing key are charged as that loop would have
-        charged them, and the error propagates.
+        first, in one loop, and every other probe is then a hit charged
+        by its position -- the same allocations and charges as a
+        key-at-a-time loop.  ``payload_allocation`` is the
+        ``(size, tag)`` the pool books for each new key's payload right
+        after its chain element (hash-division's bit maps);
+        ``make_payload`` itself must not allocate or fail.  If an
+        allocation fails, the probes before the failing key are charged
+        as that loop would have charged them, and the error propagates.
         """
         if len(keys) == 1:
-            # One key costs what find_or_insert() costs, as in find_many.
+            # One hit costs what find_or_insert() costs, since serve
+            # pulls row by row; a miss takes the insert path below.
             key = keys[0]
             position = self._positions.get(key)
-            if position is None:
-                return [self.find_or_insert(key, make_payload)[0]], [key]
-            cpu = self.cpu
-            cpu.hashes += 1
-            cpu.comparisons += position
-            return [self._payloads[key]], []
+            if position is not None:
+                cpu = self.cpu
+                cpu.hashes += 1
+                cpu.comparisons += position
+                return [self._payloads[key]], []
         if self._freed:
             self._check_live()
         payloads = self._payloads
@@ -268,21 +279,65 @@ class ChainedHashTable:
         fresh: list[tuple] = []
         if found is None or None in found:
             fresh = list(itertools.filterfalse(payloads.__contains__, dict.fromkeys(keys)))
-            find_or_insert = self.find_or_insert
             try:
-                for key in fresh:
-                    find_or_insert(key, make_payload)
-            except Exception:
+                self._insert(fresh, make_payload, payload_allocation)
+            except HashTableOverflowError:
                 # ``key`` failed: charge the hits a loop met before it.
+                key = next(itertools.filterfalse(payloads.__contains__, fresh))
                 self._charge_hits(keys[: keys.index(key)], fresh[: fresh.index(key)])
                 raise
             found = list(map(payloads.__getitem__, keys))
         self._charge_hits(keys, fresh)
         return found, fresh
 
+    def _insert(
+        self,
+        fresh: Sequence[tuple],
+        make_payload: Callable[[], Any],
+        payload_allocation: tuple[int, str] | None,
+    ) -> None:
+        """Insert ``fresh``, keys not in the table, in order.
+
+        The pool books every key's chain element (and payload) in one
+        :meth:`~repro.storage.memory.MemoryPool.allocate_run`; each key
+        is charged one ``Hash`` and ``Comp`` equal to the length its
+        chain has when the key is appended.  When an allocation fails,
+        the keys before the failing one are inserted, the failing key
+        is charged its probe, and a chain-element failure counts as an
+        overflow of this table, as in :meth:`find_or_insert`.
+        """
+        pattern = [(CHAIN_ELEMENT_BYTES + self.entry_bytes, self.tag)]
+        if payload_allocation is not None:
+            pattern.append(payload_allocation)
+        failure = None
+        try:
+            self.memory.allocate_run(pattern, len(fresh))
+            inserted = len(fresh)
+        except MemoryPoolError as exc:
+            failure = exc
+            inserted = exc.allocated // len(pattern)
+        added = fresh[:inserted]
+        self._payloads.update(zip(added, [make_payload() for _ in added]))
+        positions = self._positions
+        for key, bucket in zip(added, self._buckets_of(added)):
+            bucket.append(key)
+            positions[key] = len(bucket)
+        cpu = self.cpu
+        cpu.hashes += inserted
+        # Each key met the chain in front of its own position.
+        cpu.comparisons += sum(map(positions.__getitem__, added)) - inserted
+        if failure is None:
+            return
+        # The failing key was probed before its allocation failed.
+        cpu.hashes += 1
+        cpu.comparisons += self._chain_length(fresh[inserted])
+        if failure.allocated % len(pattern) == 0:
+            raise self._overflow(failure, site="find_or_insert") from failure
+        raise HashTableOverflowError(str(failure)) from failure
+
     def _charge_hits(self, keys: Sequence[tuple], inserted: Sequence[tuple]) -> None:
         """Charge ``keys`` as hits, except the first probe of each key
-        in ``inserted``, which :meth:`find_or_insert` charged."""
+        in ``inserted``, which the insert charged."""
         positions = self._positions
         self.cpu.hashes += len(keys) - len(inserted)
         self.cpu.comparisons += sum(map(positions.__getitem__, keys)) - sum(
@@ -293,11 +348,14 @@ class ChainedHashTable:
         """``Comp`` of probing ``keys``, whose payloads are ``found``."""
         comparisons = sum(map(self._positions.get, keys, itertools.repeat(0)))
         if None in found:
-            chain_length = self._chain_length
-            comparisons += sum(
-                chain_length(key) for key, payload in zip(keys, found) if payload is None
-            )
+            missing = itertools.compress(keys, map(operator.is_, found, itertools.repeat(None)))
+            comparisons += sum(map(len, self._buckets_of(missing)))
         return comparisons
+
+    def _buckets_of(self, keys: Iterable[tuple]) -> Iterator[list[tuple]]:
+        """The chain each of ``keys`` hashes to, computed in C."""
+        bucket_of_hash = self.bucket_count.__rmod__
+        return map(self._buckets.__getitem__, map(bucket_of_hash, map(hash, keys)))
 
     def _chain_length(self, key: tuple) -> int:
         return len(self._buckets[hash(key) % self.bucket_count])

@@ -7,26 +7,29 @@ this representation; the planner (:mod:`repro.plan.planner`) compiles
 it into a physical :class:`~repro.executor.iterator.QueryIterator`
 tree, consulting the cost advisor for every ``Divide`` node.
 
-The module also ships :func:`evaluate`, a deliberately naive
-pure-Python reference evaluator.  It exists for two jobs:
+The module also ships :func:`evaluate_batches` (and :func:`evaluate`,
+its rows flattened), a pure-Python reference evaluator.  It exists for
+two jobs:
 
 * **plan-time statistics** -- the planner streams the division inputs
-  through it once to gather the exact cardinalities and duplicate
-  flags the advisor prices (the same numbers the pre-planner query
-  layer fed it, so algorithm choices are unchanged), and
+  through it once, a batch at a time, to gather the exact
+  cardinalities and duplicate flags the advisor prices (the same
+  numbers the pre-planner query layer fed it, so algorithm choices are
+  unchanged), and
 * **testing** -- it is an executable specification the compiled
   streaming pipeline is checked against.
 
-It never touches an :class:`~repro.executor.iterator.ExecContext`:
-no meters tick, no I/O is charged, nothing is traced.
+It charges no CPU units and traces nothing, but it is not free: a
+:class:`StoredSourceNode` is read page by page through the buffer
+pool, so every page it fixes is a metered (and fault-exposed) read
+when the page is not already buffered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-from typing import TYPE_CHECKING
+from itertools import chain, filterfalse
+from typing import TYPE_CHECKING, Iterator
 
 from repro.relalg.algebra import divide_set_semantics, division_attribute_split
 from repro.relalg.predicates import Predicate
@@ -183,46 +186,62 @@ class DivideNode(LogicalNode):
         return f"Divide(÷{','.join(self.divisor_names)}{restricted})"
 
 
-def evaluate(node: LogicalNode) -> Iterator[Row]:
-    """Reference evaluation: stream the node's rows, charging nothing.
+def evaluate_batches(node: LogicalNode) -> Iterator[list[Row]]:
+    """Reference evaluation a batch at a time: lists of the node's rows.
 
-    Used by the planner for exact plan-time statistics and by the test
-    suite as the semantics oracle for the compiled pipeline.  Rows come
-    out in the same order the streaming operators produce them (input
-    order for Filter/Project, first-occurrence order for Distinct).
+    A stored source yields one list per page
+    (:meth:`~repro.storage.heapfile.HeapFile.scan_pages`), fixed when
+    its list is asked for; an in-memory source yields its rows as one
+    list (the relation's own; callers must not change a list).  Filter, Project and Distinct work on each list with
+    ``filter``, ``map`` and ``dict.fromkeys``; a projection onto all
+    attributes in order passes the lists through.  Lists may be empty.
     """
     if isinstance(node, SourceNode):
-        yield from node.relation
+        yield node.relation.rows
         return
     if isinstance(node, StoredSourceNode):
         # The one node whose evaluation is *not* free: rows come off
         # the device through the buffer pool (metered, fault-exposed).
-        yield from node.stored.scan_tuples()
+        stored = node.stored
+        yield from stored.file.scan_pages(stored.codec)
         return
     if isinstance(node, FilterNode):
         test = node.predicate.compile(node.schema)
-        for row in evaluate(node.child):
-            if test(row):
-                yield row
+        for batch in evaluate_batches(node.child):
+            yield list(filter(test, batch))
         return
     if isinstance(node, ProjectNode):
+        if node.names == node.child.schema.names:
+            yield from evaluate_batches(node.child)
+            return
         extract = projector(node.child.schema, node.names)
-        for row in evaluate(node.child):
-            yield extract(row)
+        for batch in evaluate_batches(node.child):
+            yield list(map(extract, batch))
         return
     if isinstance(node, DistinctNode):
         seen: set = set()
-        for row in evaluate(node.child):
-            if row not in seen:
-                seen.add(row)
-                yield row
+        for batch in evaluate_batches(node.child):
+            fresh = list(filterfalse(seen.__contains__, dict.fromkeys(batch)))
+            seen.update(fresh)
+            yield fresh
         return
     if isinstance(node, DivideNode):
         dividend = Relation(node.dividend.schema, list(evaluate(node.dividend)))
         divisor = Relation(node.divisor.schema, list(evaluate(node.divisor)))
-        yield from divide_set_semantics(dividend, divisor)
+        yield divide_set_semantics(dividend, divisor).rows
         return
     raise TypeError(f"unknown logical node {type(node).__name__}")
+
+
+def evaluate(node: LogicalNode) -> Iterator[Row]:
+    """Reference evaluation: stream the node's rows.
+
+    Used by the test suite as the semantics oracle for the compiled
+    pipeline.  Rows come out in the same order the streaming operators
+    produce them (input order for Filter/Project, first-occurrence
+    order for Distinct); they are :func:`evaluate_batches` flattened.
+    """
+    return chain.from_iterable(evaluate_batches(node))
 
 
 def render_logical(node: LogicalNode, indent: int = 0) -> str:

@@ -2,13 +2,19 @@
 
 Section 5.2's argument, operationalized: because the ``contains``
 construct reaches the planner as an explicit ``Divide`` node, the
-planner can gather the *actual* input statistics (a zero-cost streaming
-pass over the reference evaluator -- exactly the numbers the eager
+planner can gather the *actual* input statistics (one pass over the
+reference evaluator, a page at a time -- exactly the numbers the eager
 query layer used to compute, so algorithm choices are unchanged), price
 every semantically applicable strategy with the Section 4 cost
 formulas, and compile the winner into the physical operator tree.  The
 decision is recorded on the plan, so ``explain()`` shows not just the
 tree but *why* it is that tree.
+
+The statistics pass charges no CPU units, but it is not free: it reads
+a stored input through the buffer pool like any scan, so a cold
+stored dividend costs its page reads in model ms (141 reads, 2,014
+model ms for the largest ``contains-planned`` transcript) before the
+division reads it again.
 
 :func:`decide_division` is the only producer of
 :class:`DivisionDecision` records; ``ContainsQuery.plan()``,
@@ -18,6 +24,8 @@ tree but *why* it is that tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable
 
 from repro.errors import ExecutionError
 from repro.costmodel.advisor import AdvisorChoice, DivisionEstimates, advise
@@ -35,10 +43,11 @@ from repro.plan.logical import (
     ProjectNode,
     SourceNode,
     StoredSourceNode,
-    evaluate,
+    evaluate_batches,
 )
 from repro.plan.physical import PhysicalPlan, build_division_operator
-from repro.relalg.tuples import projector
+from repro.relalg.schema import Schema
+from repro.relalg.tuples import Row
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,43 @@ class DivisionDecision:
         return "\n".join(lines)
 
 
+def _value_key(schema: Schema, names: tuple[str, ...]) -> Callable[[Row], Hashable]:
+    """Key of ``names`` in a row of ``schema``: the bare value for one
+    attribute, a tuple for several (one ``itemgetter``, built in C)."""
+    return itemgetter(*schema.positions_of(names))
+
+
+def divisor_covers(
+    dividend_schema: Schema,
+    dividend_rows: Iterable[Row],
+    divisor_schema: Schema,
+    divisor_rows: Iterable[Row],
+) -> bool:
+    """Section 2.2's precondition of the no-join counting strategies.
+
+    True when every divisor-attribute value that occurs in the dividend
+    also occurs in the divisor (referential integrity).  Counting
+    without a semi-join compares each candidate's tuple count with
+    |S|, so a dividend tuple whose divisor value is missing from the
+    divisor would be counted and could make a candidate look complete.
+    An empty dividend is covered by any divisor; an empty divisor
+    covers only an empty dividend.
+    """
+    names = divisor_schema.names
+    divisor_values = set(map(_value_key(divisor_schema, names), divisor_rows))
+    return divisor_values.issuperset(map(_value_key(dividend_schema, names), dividend_rows))
+
+
+def _distinct_rows(node: LogicalNode) -> tuple[set, int]:
+    """The node's distinct rows and its row count, in one batch pass."""
+    rows: set = set()
+    count = 0
+    for batch in evaluate_batches(node):
+        count += len(batch)
+        rows.update(batch)
+    return rows, count
+
+
 def collect_division_estimates(
     dividend: LogicalNode,
     divisor: LogicalNode,
@@ -94,53 +140,37 @@ def collect_division_estimates(
 ) -> tuple[DivisionEstimates, tuple[str, ...]]:
     """Exact plan-time statistics for one division, plus quotient names.
 
-    Streams both inputs through the uncharged reference evaluator once:
-    |R|, the distinct |S|, the exact candidate count |Q|, and the
-    duplicate flags -- the same statistics the advisor has always been
-    fed, gathered without materializing either input as a
-    :class:`~repro.relalg.relation.Relation`.
+    Streams the dividend, then the divisor, once through the reference
+    evaluator a batch at a time: |R|, the distinct |S|, the exact
+    candidate count |Q|, and the duplicate flags -- the same
+    statistics the advisor has always been fed, gathered without
+    materializing either input as a
+    :class:`~repro.relalg.relation.Relation`.  The pass charges no CPU
+    units, but a stored input is read page by page through the buffer
+    pool, so its page reads are metered I/O like any scan's.
 
     Because the pass sees the exact values, it also *checks* the
     Section 2.2 correctness precondition of the no-join counting
-    strategies instead of trusting the syntactic signal alone: when any
-    divisor-attribute value occurring in the dividend is missing from
-    the divisor (no referential integrity), the divisor is reported
-    restricted even without a ``where`` step, so the advisor refuses
-    the strategies that would count non-divisor tuples.
+    strategies (:func:`divisor_covers`) instead of trusting the
+    syntactic signal alone: when any divisor-attribute value occurring
+    in the dividend is missing from the divisor (no referential
+    integrity), the divisor is reported restricted even without a
+    ``where`` step, so the advisor refuses the strategies that would
+    count non-divisor tuples.
     """
-    shell = DivideNode(dividend, divisor, divisor_restricted)
-    quotient_names = shell.quotient_names
-    quotient_of = projector(dividend.schema, quotient_names)
-    divisor_of = projector(dividend.schema, shell.divisor_names)
-    dividend_tuples = 0
-    dividend_seen: set = set()
-    dividend_duplicates = False
-    quotient_keys: set = set()
-    dividend_divisor_values: set = set()
-    for row in evaluate(dividend):
-        dividend_tuples += 1
-        if row in dividend_seen:
-            dividend_duplicates = True
-        else:
-            dividend_seen.add(row)
-        quotient_keys.add(quotient_of(row))
-        dividend_divisor_values.add(divisor_of(row))
-    divisor_tuples = 0
-    divisor_seen: set = set()
-    divisor_duplicates = False
-    for row in evaluate(divisor):
-        divisor_tuples += 1
-        if row in divisor_seen:
-            divisor_duplicates = True
-        else:
-            divisor_seen.add(row)
-    covered = dividend_divisor_values <= divisor_seen
+    quotient_names = DivideNode(dividend, divisor, divisor_restricted).quotient_names
+    dividend_rows, dividend_tuples = _distinct_rows(dividend)
+    divisor_rows, divisor_tuples = _distinct_rows(divisor)
+    quotient_of = _value_key(dividend.schema, quotient_names)
+    covered = divisor_covers(dividend.schema, dividend_rows, divisor.schema, divisor_rows)
     estimates = DivisionEstimates(
         dividend_tuples=dividend_tuples,
-        divisor_tuples=len(divisor_seen),
-        quotient_tuples=len(quotient_keys),
+        divisor_tuples=len(divisor_rows),
+        quotient_tuples=len(set(map(quotient_of, dividend_rows))),
         divisor_restricted=divisor_restricted or not covered,
-        may_contain_duplicates=dividend_duplicates or divisor_duplicates,
+        may_contain_duplicates=(
+            len(dividend_rows) < dividend_tuples or len(divisor_rows) < divisor_tuples
+        ),
     )
     return estimates, quotient_names
 

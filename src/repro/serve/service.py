@@ -396,26 +396,6 @@ class QueryService:
             deadline_ms=absolute,
         )
 
-    def submit_insert(
-        self, table: str, rows: Iterable, client: str = "client"
-    ) -> Task:
-        """Queue an append to a stored relation (exclusive lock)."""
-        rec = self._new_outcome(client, "insert", (table,))
-        return self.scheduler.spawn(
-            gen=self._update_request(rec, table, rows=tuple(rows)),
-            name=f"{client}/u{rec.index}",
-        )
-
-    def submit_delete(
-        self, table: str, keep: Callable, client: str = "client"
-    ) -> Task:
-        """Queue a predicate delete (keep rows passing ``keep``)."""
-        rec = self._new_outcome(client, "delete", (table,))
-        return self.scheduler.spawn(
-            gen=self._update_request(rec, table, keep=keep),
-            name=f"{client}/u{rec.index}",
-        )
-
     def submit_script(
         self,
         client: str,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import MemoryPoolError
 
@@ -109,6 +109,73 @@ class MemoryPool:
         self._in_use += size
         self.stats.total_allocations += 1
         self.stats.by_tag[tag] = self.stats.by_tag.get(tag, 0) + size
+        self.stats.peak_bytes = max(self.stats.peak_bytes, self._in_use)
+
+    def allocate_run(self, pattern: Sequence[tuple[int, str]], count: int) -> None:
+        """Book ``count`` repeats of ``pattern``, a list of
+        ``(size, tag)`` allocations, in order, as :meth:`allocate` would
+        one at a time.
+
+        Without an injector the run is booked in closed form: the
+        first allocation that would exceed the budget is found by
+        arithmetic, the allocations before it are booked, and it fails
+        with the message :meth:`allocate` gives.  With an injector
+        every allocation is offered to it in turn through
+        :meth:`allocate`, so the fault schedule does not change.
+
+        Raises:
+            MemoryPoolError: for the first allocation that fails; its
+                ``allocated`` attribute counts the allocations of the
+                run booked before it.
+        """
+        if self.injector is not None or any(size < 0 for size, _ in pattern):
+            booked = 0
+            try:
+                for _ in range(count):
+                    for size, tag in pattern:
+                        self.allocate(size, tag)
+                        booked += 1
+            except MemoryPoolError as exc:
+                exc.allocated = booked
+                raise
+            return
+        if count == 0:
+            return
+        repeats, failing = count, None
+        if self.budget is not None:
+            room = self.budget - self._in_use
+            per_repeat = sum(size for size, _ in pattern)
+            if room < 0 or per_repeat * count > room:
+                # Whole repeats that fit, then the pattern walked to the
+                # allocation that does not.
+                repeats = room // per_repeat if per_repeat and room >= 0 else 0
+                used = repeats * per_repeat
+                for index, (size, _) in enumerate(pattern):
+                    if used + size > room:
+                        failing = index
+                        break
+                    used += size
+        self._book_run(pattern, repeats, failing or 0)
+        if failing is not None:
+            size, tag = pattern[failing]
+            exc = MemoryPoolError(
+                f"memory pool exhausted: {self._in_use} bytes in use, "
+                f"{size} requested ({tag}), budget {self.budget}"
+            )
+            exc.allocated = repeats * len(pattern) + failing
+            raise exc
+
+    def _book_run(self, pattern: Sequence[tuple[int, str]], repeats: int, extra: int) -> None:
+        """Book ``repeats`` whole repeats of ``pattern``, then its first
+        ``extra`` allocations."""
+        live, by_tag = self._live, self.stats.by_tag
+        for index, (size, tag) in enumerate(pattern):
+            times = repeats + (index < extra)
+            if times:
+                live[tag] = live.get(tag, 0) + size * times
+                by_tag[tag] = by_tag.get(tag, 0) + size * times
+                self._in_use += size * times
+        self.stats.total_allocations += repeats * len(pattern) + extra
         self.stats.peak_bytes = max(self.stats.peak_bytes, self._in_use)
 
     def apply_pressure(self, factor: float) -> int:

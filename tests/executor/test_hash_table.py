@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import HashTableOverflowError, MemoryPoolError
 from repro.executor.hash_table import ChainedHashTable
 from repro.metering import CpuCounters
+from repro.obs.span import Tracer
 from repro.storage.memory import (
     BUCKET_HEADER_BYTES,
     CHAIN_ELEMENT_BYTES,
@@ -182,15 +183,18 @@ class TestBatchProbes:
         assert cpu == CpuCounters()
 
 
-def _payload_factory(memory, payload_bytes):
-    """Numbered payloads that, like a bit map, allocate their own bytes."""
+def _payload_factory(memory, payload_bytes, allocates):
+    """Numbered payloads with ``payload_bytes`` each, like bit maps:
+    allocated by the factory itself for the per-key loop, booked by
+    the table (``payload_allocation``) for the batch kernel."""
     numbers = itertools.count()
 
     def make():
-        try:
-            memory.allocate(payload_bytes, tag="payloads")
-        except MemoryPoolError as exc:
-            raise HashTableOverflowError(str(exc)) from exc
+        if allocates:
+            try:
+                memory.allocate(payload_bytes, tag="payloads")
+            except MemoryPoolError as exc:
+                raise HashTableOverflowError(str(exc)) from exc
         return [next(numbers)]
 
     return make
@@ -202,7 +206,7 @@ def _run(keys, cuts, finds, buckets, budget, payload_bytes, batched):
     failure."""
     cpu, memory = CpuCounters(), MemoryPool(budget)
     table = ChainedHashTable(cpu, memory, buckets, 8, tag="t")
-    make = _payload_factory(memory, payload_bytes)
+    make = _payload_factory(memory, payload_bytes, allocates=not batched)
     results, failed = [], None
     bounds = list(itertools.accumulate(cuts))
     batches = [keys[a:b] for a, b in zip([0] + bounds, bounds + [len(keys)])]
@@ -211,7 +215,9 @@ def _run(keys, cuts, finds, buckets, budget, payload_bytes, batched):
             if batched and find:
                 results.append(table.find_many(batch))
             elif batched:
-                results.append(table.find_or_insert_many(batch, make)[0])
+                results.append(
+                    table.find_or_insert_many(batch, make, (payload_bytes, "payloads"))[0]
+                )
             elif find:
                 results.append([table.find(key) for key in batch])
             else:
@@ -279,3 +285,65 @@ def test_batch_kernels_match_key_at_a_time(keys, cuts, finds, buckets, spare, pa
     budget = None if spare is None else buckets * BUCKET_HEADER_BYTES + spare
     args = (keys, cuts, finds, buckets, budget, payload_bytes)
     assert _run(*args, batched=True) == _run(*args, batched=False)
+
+
+#: Keys with repeats (nine distinct), and the bit map each new key's
+#: payload is charged, as in hash-division's quotient table.
+REPEATING_KEYS = [(k * 7 % 9,) for k in range(30)]
+BITMAP = (16, "payloads")
+CHAIN = CHAIN_ELEMENT_BYTES + 8
+
+
+def _fill(budget, batched):
+    """Insert REPEATING_KEYS with bit-map payloads into a four-bucket
+    table, in one batch or key by key through find_or_insert; returns
+    everything a caller can observe after the first failure."""
+    cpu, memory, tracer = CpuCounters(), MemoryPool(budget), Tracer()
+    table = ChainedHashTable(cpu, memory, 4, 8, tag="t", tracer=tracer)
+    make = _payload_factory(memory, BITMAP[0], allocates=not batched)
+    error = None
+    try:
+        if batched:
+            table.find_or_insert_many(REPEATING_KEYS, make, BITMAP)
+        else:
+            for key in REPEATING_KEYS:
+                table.find_or_insert(key, make)
+    except HashTableOverflowError as exc:
+        error = str(exc)
+    overflows = tracer.metrics.to_dict().get("repro_hash_table_overflows_total")
+
+    def by_tag(tagged):
+        # The table's tag carries a process-wide instance number.
+        return {("t" if tag == table.tag else tag): size for tag, size in tagged.items()}
+
+    stats = memory.stats
+    return (
+        error and error.replace(table.tag, "t"),
+        cpu,
+        table.overflows,
+        overflows,
+        list(table.items()),
+        memory.bytes_in_use,
+        by_tag(memory.live_tags),
+        (stats.peak_bytes, stats.total_allocations, by_tag(stats.by_tag)),
+    )
+
+
+@pytest.mark.parametrize("site", ["chain-element", "bitmap"])
+@pytest.mark.parametrize("i", range(9))
+def test_batch_insert_failing_at_key_i_matches_per_key_loop(i, site):
+    """Key i's chain element, or its bit map, is the first allocation
+    that does not fit.  The batch leaves the Hash and Comp, the table's
+    overflow count, the overflow metric, the entries and the pool as
+    the per-key loop does; only a chain-element failure is counted as
+    an overflow of the table."""
+    before = 4 * BUCKET_HEADER_BYTES + i * (CHAIN + BITMAP[0])
+    budget = before + (CHAIN - 1 if site == "chain-element" else CHAIN + BITMAP[0] - 1)
+    expected = _fill(budget, batched=False)
+    assert expected[0] is not None and len(expected[4]) == i
+    assert expected[2] == (1 if site == "chain-element" else 0)
+    assert _fill(budget, batched=True) == expected
+
+
+def test_batch_insert_within_budget_matches_per_key_loop():
+    assert _fill(None, batched=True) == _fill(None, batched=False)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.costmodel.advisor import DivisionEstimates, choose_strategy
 from repro.errors import ExecutionError
+from repro.metering import CpuCounters
 from repro.plan.logical import (
     DistinctNode,
     DivideNode,
@@ -11,12 +12,14 @@ from repro.plan.logical import (
     LogicalNode,
     ProjectNode,
     SourceNode,
+    StoredSourceNode,
 )
 from repro.plan.planner import (
     Planner,
     collect_division_estimates,
     compile_plan,
     decide_division,
+    divisor_covers,
 )
 from repro.relalg.predicates import ComparisonPredicate
 from repro.relalg.relation import Relation
@@ -77,6 +80,59 @@ class TestCollectEstimates:
             dividend, divisor, divisor_restricted=True
         )
         assert estimates.divisor_restricted
+
+
+class TestDivisorCovers:
+    """Section 2.2's precondition of no-join counting, as a predicate."""
+
+    @staticmethod
+    def covers(dividend: Relation, divisor: Relation) -> bool:
+        return divisor_covers(dividend.schema, dividend.rows, divisor.schema, divisor.rows)
+
+    def test_covered_divisor(self):
+        assert self.covers(R([(1, 0), (1, 1), (2, 1)]), S([(0,), (1,), (2,)]))
+
+    def test_divisor_short_by_one_value(self):
+        assert not self.covers(R([(1, 0), (1, 1), (2, 2)]), S([(0,), (1,)]))
+
+    def test_multi_attribute_divisor(self):
+        """The divisor's attribute order need not be the dividend's."""
+        dividend = Relation.of_ints(("a", "q", "b"), [(1, 7, 2), (3, 7, 4), (1, 8, 2)])
+        divisor = Relation.of_ints(("b", "a"), [(2, 1), (4, 3)])
+        assert self.covers(dividend, divisor)
+        # (a, b) = (3, 2) occurs in no divisor tuple, though 3 and 2 do.
+        dividend.append((3, 9, 2))
+        assert not self.covers(dividend, divisor)
+
+    def test_empty_divisor(self):
+        assert not self.covers(R([(1, 0)]), S([]))
+        assert self.covers(R([]), S([]))
+
+    def test_empty_dividend(self):
+        assert self.covers(R([]), S([(0,), (1,)]))
+
+
+class TestStatisticsPassCost:
+    def test_cold_stored_pass_reads_each_page_once_and_charges_no_cpu(
+        self, ctx, catalog
+    ):
+        """The pass is not free: it reads a cold stored input through
+        the buffer pool, one read per heap page, but charges no CPU
+        unit."""
+        rows = [(q, d) for q in range(300) for d in range(8)]
+        dividend = catalog.store(R(rows), name="R")
+        divisor = catalog.store(S([(d,) for d in range(8)]), name="S")
+        assert dividend.page_count > 1
+        ctx.reset_meters()
+        estimates, _ = collect_division_estimates(
+            ProjectNode(StoredSourceNode(dividend), ("q", "d")),
+            StoredSourceNode(divisor),
+        )
+        assert estimates.dividend_tuples == len(rows)
+        assert ctx.io_stats.totals().reads == dividend.page_count + divisor.page_count
+        assert ctx.io_stats.totals().writes == 0
+        assert ctx.io_cost_ms() > 0
+        assert ctx.cpu == CpuCounters()
 
 
 class TestDecideDivision:
