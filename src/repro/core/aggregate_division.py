@@ -44,8 +44,6 @@ identity) resolve to "every candidate qualifies".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.errors import DivisionError, ExecutionError
 from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 from repro.executor.distinct import HashDistinct
@@ -129,27 +127,17 @@ class _AggregateDivisionBase(QueryIterator):
 
     # -- step 3: final selection -----------------------------------------
 
-    def _next(self) -> Optional[Row]:
-        assert self._counts is not None
-        while (row := self._counts.next()) is not None:
-            if self._qualifying((row,)):
-                return row[:-1]
-        return None
-
     def _next_batch(self) -> list[Row]:
+        """The candidates of the next count batch whose count equals
+        the divisor count, one Comp per candidate tested."""
         assert self._counts is not None
+        target = self.divisor_count
         while rows := self._counts.next_batch():
-            quotient = self._qualifying(rows)
+            self.ctx.cpu.comparisons += len(rows)
+            quotient = [row[:-1] for row in rows if row[-1] == target]
             if quotient:
                 return quotient
         return []
-
-    def _qualifying(self, rows: Sequence[Row]) -> list[Row]:
-        """The candidates among ``rows`` whose count equals the divisor
-        count, one Comp per candidate tested."""
-        self.ctx.cpu.comparisons += len(rows)
-        target = self.divisor_count
-        return [row[:-1] for row in rows if row[-1] == target]
 
     def _close(self) -> None:
         if self._counts is not None:

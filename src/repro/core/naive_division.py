@@ -17,18 +17,16 @@ sorted inputs.  The plan factory
 ``"naive"``) puts the necessary sorts below the operator.
 
 The merge scan walks the dividend a batch at a time.  The group state
--- current quotient key, divisor-list position, failed flag, and the
-tuple held back after it broke a group -- lives on the operator, so a
-group may span batches and ``next()`` and ``next_batch()`` may be
-mixed.  A batch returns every quotient tuple its rows complete, with
-the Comp the row-at-a-time walk charges: one per tuple for the group
-test, one more for the tuple that opens the next group, and the
-divisor walk.
+-- current quotient key, divisor-list position and failed flag -- lives
+on the operator, so a group may span batches.  A batch returns every
+quotient tuple its rows complete, with the Comp the row-at-a-time walk
+charges: one per tuple for the group test, one more for the tuple that
+opens the next group, and the divisor walk.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import DivisionError, ExecutionError
 from repro.executor.iterator import QueryIterator
@@ -72,8 +70,6 @@ class NaiveDivision(QueryIterator):
         self._group_key: Row | None = None
         self._index = 0
         self._failed = False
-        #: The tuple that broke the last group ``next()`` returned.
-        self._pending: Row | None = None
         self._done = False
 
     def _open(self) -> None:
@@ -111,35 +107,16 @@ class NaiveDivision(QueryIterator):
             raise
         self._reset_scan()
 
-    def _next(self) -> Optional[Row]:
-        while not self._done:
-            row, self._pending = self._pending, None
-            if row is None:
-                row = self.dividend.next()
-            quotient = self._end_scan() if row is None else self._walk((row,), first=True)
-            if quotient:
-                return quotient[0]
-        return None
-
     def _next_batch(self) -> list[Row]:
         quotient: list[Row] = []
-        if self._pending is not None:
-            row, self._pending = self._pending, None
-            quotient = self._walk((row,))
         while not quotient and not self._done:
             rows = self.dividend.next_batch()
             quotient = self._walk(rows) if rows else self._end_scan()
         return quotient
 
-    def _walk(self, rows: Sequence[Row], first: bool = False) -> list[Row]:
+    def _walk(self, rows: Sequence[Row]) -> list[Row]:
         """Merge-scan dividend tuples; returns the quotient tuples of
-        the groups they complete.
-
-        With ``first``, stops at the first completed group and holds
-        back the tuple that completed it, as the row-at-a-time walk
-        does: that tuple's group test and divisor walk are charged when
-        it opens the next group.
-        """
+        the groups they complete."""
         quotient_of, divisor_of = self._quotient_of, self._divisor_of
         divisor_list = self._divisor_list
         divisor_len = len(divisor_list)
@@ -154,9 +131,6 @@ class NaiveDivision(QueryIterator):
                     if group_key is not None:
                         if not failed and index == divisor_len:
                             quotient.append(group_key)
-                            if first:
-                                group_key, self._pending = None, row
-                                break
                         # The tuple is tested again as the first of its group.
                         comparisons += 1
                     group_key, index, failed = key, 0, False

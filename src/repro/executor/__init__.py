@@ -1,9 +1,10 @@
 """Demand-driven, iterator-based query execution (the paper's Section 5.1).
 
 Every operator implements the *open-next-close* protocol and pulls
-tuples from its inputs one at a time, so plans form trees evaluated by
-demand-driven dataflow -- exactly the engine the paper's experiments
-ran on.  Operators meter their work into the shared
+tuples from its inputs on demand, a fetch-free batch at a time
+(``next()`` hands a batch out tuple by tuple), so plans form trees
+evaluated by demand-driven dataflow -- the engine the paper's
+experiments ran on.  Operators meter their work into the shared
 :class:`~repro.executor.iterator.ExecContext`: tuple comparisons, hash
 computations, and bit operations on the CPU side, and page transfers
 (via the buffer pool and simulated disks) on the I/O side.
@@ -12,7 +13,7 @@ Operator inventory:
 
 * sources -- :class:`~repro.executor.scan.StoredRelationScan`,
   :class:`~repro.executor.scan.RelationSource`
-* tuple-at-a-time -- :class:`~repro.executor.filter.Select`,
+* mapping -- :class:`~repro.executor.filter.Select`,
   :class:`~repro.executor.project.Project`
 * sorting -- :class:`~repro.executor.sort.ExternalSort` with early
   aggregation and duplicate elimination during run generation

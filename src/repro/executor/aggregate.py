@@ -15,7 +15,7 @@ pieces:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.executor.hash_table import ChainedHashTable
 from repro.executor.iterator import QueryIterator, drain
@@ -48,14 +48,11 @@ class ScalarCount(QueryIterator):
         self.input_op.open()
         self._emitted = False
 
-    def _next(self) -> Optional[Row]:
+    def _next_batch(self) -> list[Row]:
         if self._emitted:
-            return None
-        count = 0
-        while self.input_op.next() is not None:
-            count += 1
+            return []
         self._emitted = True
-        return (count,)
+        return [(sum(map(len, iter(self.input_op.next_batch, []))),)]
 
     def _close(self) -> None:
         self.input_op.close()
@@ -86,14 +83,6 @@ class SortedGroupCount(QueryIterator):
         self._current = None
         self._count = 0
         self._exhausted = False
-
-    def _next(self) -> Optional[Row]:
-        while not self._exhausted:
-            row = self.input_op.next()
-            finished = self._end() if row is None else self._fold((row,))
-            if finished:
-                return finished[0]
-        return None
 
     def _next_batch(self) -> list[Row]:
         finished: list[Row] = []
@@ -219,10 +208,6 @@ class HashGroupCount(QueryIterator):
         self._output = (
             group + (counter[0],) for group, counter in self._table.items()
         )
-
-    def _next(self) -> Optional[Row]:
-        assert self._output is not None
-        return next(self._output, None)
 
     def _next_batch(self) -> list[Row]:
         assert self._output is not None

@@ -18,8 +18,6 @@ divisor and quotient tables).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.executor.hash_table import ChainedHashTable
 from repro.executor.iterator import QueryIterator
 from repro.relalg.tuples import Row
@@ -57,25 +55,15 @@ class HashDistinct(QueryIterator):
             self._table = None
             raise
 
-    def _next(self) -> Optional[Row]:
-        while (row := self.input_op.next()) is not None:
-            if self._first_occurrences((row,)):
-                return row
-        return None
-
     def _next_batch(self) -> list[Row]:
-        while batch := self.input_op.next_batch():
-            rows = self._first_occurrences(batch)
-            if rows:
-                return rows
-        return []
-
-    def _first_occurrences(self, rows: Sequence[Row]) -> list[Row]:
-        """Insert ``rows`` into the table; returns those it had not
-        seen, in input order."""
+        """The rows of the next input batch that the table had not
+        seen, in input order; they are inserted."""
         assert self._table is not None
-        _, fresh = self._table.find_or_insert_many(rows, lambda: True)
-        return fresh
+        while batch := self.input_op.next_batch():
+            _, fresh = self._table.find_or_insert_many(batch, lambda: True)
+            if fresh:
+                return fresh
+        return []
 
     def _close(self) -> None:
         self.input_op.close()

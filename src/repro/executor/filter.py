@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.executor.iterator import QueryIterator
 from repro.relalg.predicates import Predicate
 from repro.relalg.tuples import Row
@@ -28,17 +26,6 @@ class Select(QueryIterator):
         # compile must not leave the child open.
         self._test = self.predicate.compile(self.schema)
         self.input_op.open()
-
-    def _next(self) -> Optional[Row]:
-        assert self._test is not None
-        cpu = self.ctx.cpu
-        while True:
-            row = self.input_op.next()
-            if row is None:
-                return None
-            cpu.comparisons += 1
-            if self._test(row):
-                return row
 
     def _next_batch(self) -> list[Row]:
         assert self._test is not None

@@ -14,7 +14,7 @@ pipelines only need the semi-join.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ExecutionError
 from repro.executor.hash_table import ChainedHashTable
@@ -79,25 +79,17 @@ class HashSemiJoin(QueryIterator):
             self._table = None
             raise
 
-    def _next(self) -> Optional[Row]:
-        while (row := self.probe.next()) is not None:
-            if self._matching((row,)):
-                return row
-        return None
-
     def _next_batch(self) -> list[Row]:
+        """The rows of the next probe batch whose key is in the build
+        table."""
+        assert self._table is not None
         while batch := self.probe.next_batch():
-            rows = self._matching(batch)
+            found = self._table.find_many(list(map(self._probe_key, batch)))
+            # A build payload is True and a miss None.
+            rows = list(compress(batch, found))
             if rows:
                 return rows
         return []
-
-    def _matching(self, batch: Sequence[Row]) -> list[Row]:
-        """The rows of ``batch`` whose key is in the build table."""
-        assert self._table is not None
-        found = self._table.find_many(list(map(self._probe_key, batch)))
-        # A build payload is True and a miss None.
-        return list(compress(batch, found))
 
     def _close(self) -> None:
         self.probe.close()
@@ -145,12 +137,11 @@ class HashJoin(QueryIterator):
             projector(build.schema, build_rest) if build_rest else (lambda row: ())
         )
         self._table: ChainedHashTable | None = None
-        self._pending: list[Row] = []
 
     def _open(self) -> None:
         self.build.open()
         try:
-            rows = list(self.build)
+            rows = drain(self.build)
         finally:
             self.build.close()
         expected = self.expected_build_size or len(rows)
@@ -174,26 +165,28 @@ class HashJoin(QueryIterator):
             self._table.free()
             self._table = None
             raise
-        self._pending = []
 
-    def _next(self) -> Optional[Row]:
+    def _next_batch(self) -> list[Row]:
+        """Each row of the next probe batch joined with every build row
+        of its key, in build order."""
         assert self._table is not None
-        while True:
-            if self._pending:
-                return self._pending.pop()
-            row = self.probe.next()
-            if row is None:
-                return None
-            group = self._table.find(self._probe_key(row))
-            if group:
-                self._pending = [row + rest for rest in reversed(group)]
+        while batch := self.probe.next_batch():
+            groups = self._table.find_many(list(map(self._probe_key, batch)))
+            rows = [
+                row + rest
+                for row, group in zip(batch, groups)
+                if group is not None
+                for rest in group
+            ]
+            if rows:
+                return rows
+        return []
 
     def _close(self) -> None:
         self.probe.close()
         if self._table is not None:
             self._table.free()
             self._table = None
-        self._pending = []
 
     def children(self) -> tuple[QueryIterator, ...]:
         return (self.probe, self.build)

@@ -18,8 +18,6 @@ hash semi-join.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ExecutionError
 from repro.executor.iterator import QueryIterator
 from repro.relalg.tuples import Row, projector
@@ -51,13 +49,13 @@ class IndexSemiJoin(QueryIterator):
     def _open(self) -> None:
         self.outer.open()
 
-    def _next(self) -> Optional[Row]:
-        while True:
-            row = self.outer.next()
-            if row is None:
-                return None
-            if self.index.contains(self._key_of(row)):
-                return row
+    def _next_batch(self) -> list[Row]:
+        contains, key_of = self.index.contains, self._key_of
+        while batch := self.outer.next_batch():
+            rows = [row for row in batch if contains(key_of(row))]
+            if rows:
+                return rows
+        return []
 
     def _close(self) -> None:
         self.outer.close()
@@ -100,26 +98,23 @@ class IndexJoin(QueryIterator):
         self._rest_of = (
             projector(inner_schema, inner_rest) if inner_rest else (lambda row: ())
         )
-        self._pending: list[Row] = []
 
     def _open(self) -> None:
         self.outer.open()
-        self._pending = []
 
-    def _next(self) -> Optional[Row]:
-        while True:
-            if self._pending:
-                return self._pending.pop()
-            row = self.outer.next()
-            if row is None:
-                return None
-            matches = list(self.index.fetch(self._key_of(row)))
+    def _next_batch(self) -> list[Row]:
+        """One outer row's matches, in fetch order: the outer input is
+        pulled row by row, so the RID fetches of a row happen after the
+        consumer took the previous row's matches."""
+        while (row := self.outer.next()) is not None:
+            inner_rows = self.index.fetch(self._key_of(row))
+            matches = [row + self._rest_of(inner) for inner in inner_rows]
             if matches:
-                self._pending = [row + self._rest_of(inner) for inner in matches]
+                return matches
+        return []
 
     def _close(self) -> None:
         self.outer.close()
-        self._pending = []
 
     def children(self) -> tuple[QueryIterator, ...]:
         return (self.outer,)

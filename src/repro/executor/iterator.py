@@ -6,11 +6,11 @@ they support a simple open-next-close protocol" (Section 5.1).  Here:
 * :meth:`QueryIterator.open` prepares the operator (and opens its
   inputs); stop-and-go operators such as sort do their heavy lifting
   here,
-* :meth:`QueryIterator.next` returns one output tuple or ``None`` when
-  exhausted,
 * :meth:`QueryIterator.next_batch` returns the next non-empty list of
-  output tuples, or ``[]`` when exhausted -- the same tuples in the same
-  order, a fetch-free stretch at a time (see :meth:`next_batch`),
+  output tuples, or ``[]`` when exhausted -- a fetch-free stretch at a
+  time (see :meth:`next_batch`),
+* :meth:`QueryIterator.next` returns one output tuple or ``None`` when
+  exhausted; it hands out the batches of ``next_batch`` row by row,
 * :meth:`BufferedIterator.unread` gives back the last rows of the
   batch just taken, when no page was fixed since,
 * :meth:`QueryIterator.close` releases resources (and closes inputs).
@@ -224,10 +224,12 @@ class _State(enum.Enum):
 class QueryIterator:
     """Base class for all operators: the open-next-close protocol.
 
-    Subclasses implement ``_open``, ``_next``, and optionally
-    ``_next_batch`` and ``_close``; the public methods enforce the
-    protocol state machine.  An operator may be re-opened after
-    :meth:`close` when its inputs support it.
+    Subclasses implement ``_open``, ``_next_batch`` and optionally
+    ``_close``; the public methods enforce the protocol state machine.
+    ``_next`` is the adapter that serves :meth:`next` from those
+    batches, and only :class:`BufferedIterator` replaces it.  An
+    operator may be re-opened after :meth:`close` when its inputs
+    support it.
     """
 
     def __init__(self, ctx: ExecContext, schema: Schema) -> None:
@@ -236,6 +238,8 @@ class QueryIterator:
         self.rows_produced = 0
         self._state = _State.CLOSED
         self._ever_opened = False
+        #: The rest of the batch :meth:`next` is handing out, if any.
+        self._held: Iterator[Row] | None = None
 
     # -- public protocol ---------------------------------------------------
 
@@ -269,7 +273,12 @@ class QueryIterator:
         self._ever_opened = True
 
     def next(self) -> Optional[Row]:
-        """Produce the next tuple, or ``None`` when exhausted."""
+        """Produce the next tuple, or ``None`` when exhausted.
+
+        The tuple comes from the batch the last pull returned; the
+        operator is pulled again (``_next_batch``) only when that batch
+        is used up.
+        """
         if self._state is _State.FINISHED:
             return None
         if self._state is not _State.OPEN:
@@ -300,7 +309,9 @@ class QueryIterator:
         of a spilled sort's merge, the rest of an in-memory list.  Its
         tuples are the ones :meth:`next` would return, in the same
         order, with the same meter charges and the same page fixes, and
-        the two calls may be mixed.  A consumer that finishes each batch
+        the two calls may be mixed: after :meth:`next` the call returns
+        the rest of the batch ``next()`` was handing out, without
+        pulling the operator.  A consumer that finishes each batch
         before it asks for the next therefore fixes pages in the order
         it would pulling row by row.  The list is the caller's to read,
         not to modify.
@@ -311,6 +322,13 @@ class QueryIterator:
             raise ExecutionError(
                 f"{type(self).__name__}.next_batch() called in state {self._state.value}"
             )
+        held = self._held
+        if held is not None:
+            self._held = None
+            rows = list(held)
+            if rows:
+                self.rows_produced += len(rows)
+                return rows
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.operator_enter(self, "next")
@@ -360,19 +378,30 @@ class QueryIterator:
         else:
             self._close()
         self._state = _State.CLOSED
+        self._held = None
 
     # -- subclass hooks -------------------------------------------------------
 
     def _open(self) -> None:
         raise NotImplementedError
 
-    def _next(self) -> Optional[Row]:
+    def _next_batch(self) -> list[Row]:
         raise NotImplementedError
 
-    def _next_batch(self) -> list[Row]:
-        """Default: a batch of one tuple."""
-        row = self._next()
-        return [] if row is None else [row]
+    def _next(self) -> Optional[Row]:
+        """The adapter: hand out the last batch row by row, and pull
+        the next one when it is used up."""
+        held = self._held
+        if held is not None:
+            row = next(held, None)
+            if row is not None:
+                return row
+        batch = self._next_batch()
+        if not batch:
+            self._held = None
+            return None
+        self._held = held = iter(batch)
+        return next(held)
 
     def _close(self) -> None:
         """Default: nothing to release."""
@@ -422,6 +451,10 @@ class BufferedIterator(QueryIterator):
     row-at-a-time operator would make tuple by tuple can ride along as
     ``charges``, one entry per tuple, charged as the tuple is handed
     out: a consumer that stops early is charged only for what it took.
+    That is why this class replaces the base class's ``_next`` adapter,
+    which takes a whole batch, with its own: a spilled sort read row by
+    row and left mid-stretch (a merge semi-join's inner input) pays
+    only for the rows taken.
     Tuples handed out from the current list can be given back
     (:meth:`unread`), which rewinds the list and refunds their charges.
     ``_open`` sets the first buffer with :meth:`_set_buffer`.

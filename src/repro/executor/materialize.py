@@ -3,20 +3,19 @@
 Used when an intermediate result must be consumed more than once or
 must exist in file form (e.g. partition spooling in the overflow
 driver).  The spooled file lives on the 8 KB ``temp`` device and is
-destroyed on close.
+destroyed on close.  Both operators read their file back a page per
+batch, as :class:`~repro.executor.scan.PageScan` operators.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from repro.executor.iterator import ExecContext, QueryIterator
+from repro.executor.scan import PageScan
 from repro.relalg.schema import Schema
-from repro.relalg.tuples import Row
 from repro.storage.heapfile import HeapFile
 
 
-class Materialize(QueryIterator):
+class Materialize(PageScan):
     """Spool the input to a temp heap file at open, then scan it.
 
     The write pays sequential write I/O (on eviction/flush) and the
@@ -30,7 +29,6 @@ class Materialize(QueryIterator):
         super().__init__(input_op.ctx, input_op.schema)
         self.input_op = input_op
         self._file: HeapFile | None = None
-        self._rows: Iterator[Row] | None = None
         self._codec = input_op.schema.codec()
 
     def _open(self) -> None:
@@ -46,7 +44,7 @@ class Materialize(QueryIterator):
                     append(encode(row))
             finally:
                 self.input_op.close()
-            self._rows = self._file.scan_tuples(self._codec)
+            self._scan(self._file, self._codec)
         except BaseException:
             # A failed _open leaves the operator CLOSED, so _close will
             # never run -- the spool file must be reclaimed here or it
@@ -56,12 +54,8 @@ class Materialize(QueryIterator):
             self._file = None
             raise
 
-    def _next(self) -> Optional[Row]:
-        assert self._rows is not None
-        return next(self._rows, None)
-
     def _close(self) -> None:
-        self._rows = None
+        super()._close()
         if self._file is not None:
             self._file.destroy()
             self._file = None
@@ -70,7 +64,7 @@ class Materialize(QueryIterator):
         return (self.input_op,)
 
 
-class TempFileScan(QueryIterator):
+class TempFileScan(PageScan):
     """Scan an existing temp heap file, optionally destroying it after.
 
     The partitioned-division driver writes partition files itself and
@@ -88,17 +82,12 @@ class TempFileScan(QueryIterator):
         self.file = file
         self.destroy_on_close = destroy_on_close
         self._codec = schema.codec()
-        self._rows: Iterator[Row] | None = None
 
     def _open(self) -> None:
-        self._rows = self.file.scan_tuples(self._codec)
-
-    def _next(self) -> Optional[Row]:
-        assert self._rows is not None
-        return next(self._rows, None)
+        self._scan(self.file, self._codec)
 
     def _close(self) -> None:
-        self._rows = None
+        super()._close()
         if self.destroy_on_close:
             self.file.destroy()
 

@@ -9,19 +9,20 @@ on the join attributes -- composing with
 :class:`~repro.executor.sort.ExternalSort` is the planner's job, as it
 was in the paper's sort-based aggregation strategy.
 
-:class:`MergeSemiJoin` filters its outer input a batch at a time.  Row
-at a time it stops pulling the outer input on the row that finds the
-inner input ended; batch at a time it gives the rest of that batch back
-(:meth:`~repro.executor.iterator.BufferedIterator.unread`), so both
-charge the outer rows it looked at and no others.  Its outer input must
-therefore be a :class:`~repro.executor.iterator.BufferedIterator`, as
-every sort is.
+Both operators join one outer batch per call and advance the inner
+input row by row with ``next()``, as far as the batch's keys reach.
+:class:`MergeSemiJoin` stops on the outer row that finds the inner
+input ended and gives the rest of that batch back
+(:meth:`~repro.executor.iterator.BufferedIterator.unread`), so it
+charges the outer rows it looked at and no others.  Its outer input
+must therefore be a :class:`~repro.executor.iterator.BufferedIterator`,
+as every sort is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ExecutionError
 from repro.executor.iterator import BufferedIterator, QueryIterator
@@ -64,8 +65,6 @@ class MergeJoin(QueryIterator):
         self._inner_done = False
         self._group_key: tuple | None = None
         self._group: list[tuple] = []
-        self._group_index = 0
-        self._outer_row: Row | None = None
 
     def _open(self) -> None:
         self.outer.open()
@@ -74,26 +73,23 @@ class MergeJoin(QueryIterator):
         self._inner_done = self._inner_row is None
         self._group_key = None
         self._group = []
-        self._group_index = 0
-        self._outer_row = None
 
-    def _next(self) -> Optional[Row]:
+    def _next_batch(self) -> list[Row]:
+        """The join rows of the next outer batch, advancing the inner
+        input as far as its keys reach; one Comp per outer row for its
+        group test."""
         cpu = self.ctx.cpu
-        while True:
-            if self._outer_row is not None and self._group_index < len(self._group):
-                rest = self._group[self._group_index]
-                self._group_index += 1
-                return self._outer_row + rest
-            self._outer_row = self.outer.next()
-            if self._outer_row is None:
-                return None
-            key = self._outer_key(self._outer_row)
-            if key != self._group_key:
+        while batch := self.outer.next_batch():
+            rows: list[Row] = []
+            for outer_row in batch:
                 cpu.comparisons += 1
-                self._load_group(key)
-            else:
-                cpu.comparisons += 1
-            self._group_index = 0
+                key = self._outer_key(outer_row)
+                if key != self._group_key:
+                    self._load_group(key)
+                rows.extend(outer_row + rest for rest in self._group)
+            if rows:
+                return rows
+        return []
 
     def _load_group(self, key: tuple) -> None:
         """Advance the inner scan to ``key`` and buffer its group."""
@@ -119,7 +115,6 @@ class MergeJoin(QueryIterator):
         self.outer.close()
         self.inner.close()
         self._group = []
-        self._outer_row = None
         self._inner_row = None
 
     def children(self) -> tuple[QueryIterator, ...]:
@@ -170,15 +165,6 @@ class MergeSemiJoin(QueryIterator):
 
     def _inner_key_of(self, row: Row | None) -> tuple | None:
         return None if row is None else self._inner_key(row)
-
-    def _next(self) -> Optional[Row]:
-        while not self._finished:
-            outer_row = self.outer.next()
-            if outer_row is None:
-                return None
-            if self._filter((outer_row,)):
-                return outer_row
-        return None
 
     def _next_batch(self) -> list[Row]:
         while not self._finished:

@@ -9,10 +9,10 @@ division algorithms need duplicate-free inputs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.executor.iterator import QueryIterator
-from repro.relalg.tuples import Row, projector
+from repro.relalg.tuples import Row, identity, projector
 
 
 class Project(QueryIterator):
@@ -30,16 +30,12 @@ class Project(QueryIterator):
         self._extract = projector(self.input_op.schema, self.names)
         self.input_op.open()
 
-    def _next(self) -> Optional[Row]:
-        assert self._extract is not None
-        row = self.input_op.next()
-        if row is None:
-            return None
-        return self._extract(row)
-
     def _next_batch(self) -> list[Row]:
         assert self._extract is not None
-        return list(map(self._extract, self.input_op.next_batch()))
+        batch = self.input_op.next_batch()
+        if self._extract is identity:
+            return batch
+        return list(map(self._extract, batch))
 
     def _close(self) -> None:
         self.input_op.close()

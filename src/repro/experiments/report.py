@@ -41,20 +41,3 @@ def _format_cell(cell: object) -> str:
     if isinstance(cell, int):
         return f"{cell:,}"
     return str(cell)
-
-
-def render_comparison(
-    headers: Sequence[str],
-    measured_rows: Sequence[Sequence[object]],
-    reference_rows: Sequence[Sequence[object]],
-    measured_label: str = "measured",
-    reference_label: str = "paper",
-    title: str = "",
-) -> str:
-    """Render measured-vs-reference rows interleaved, for the
-    EXPERIMENTS.md style paper-vs-measured tables."""
-    rows: list[list[object]] = []
-    for measured, reference in zip(measured_rows, reference_rows):
-        rows.append([measured_label, *measured])
-        rows.append([reference_label, *reference])
-    return render_table(["source", *headers], rows, title=title)

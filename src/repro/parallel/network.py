@@ -177,10 +177,3 @@ class Interconnect:
         if not inbound:
             return 0.0
         return max(self._price(total) for total in inbound.values())
-
-    def receiver_bytes(self) -> dict[int, int]:
-        """Inbound bytes per receiver (diagnostics)."""
-        inbound: dict[int, int] = {}
-        for (_sender, receiver), link in self._links.items():
-            inbound[receiver] = inbound.get(receiver, 0) + link.bytes
-        return inbound

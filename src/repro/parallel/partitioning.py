@@ -12,7 +12,6 @@ import bisect
 from typing import Sequence
 
 from repro.errors import PartitioningError
-from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
 from repro.relalg.tuples import Row, projector
 
@@ -69,14 +68,3 @@ def round_robin(rows: Sequence[Row], partitions: int) -> list[list[Row]]:
     for index, row in enumerate(rows):
         clusters[index % partitions].append(row)
     return clusters
-
-
-def partition_relation(
-    relation: Relation, key_names: Sequence[str], partitions: int
-) -> list[Relation]:
-    """Hash-partition a relation into sub-relations (shares the schema)."""
-    clusters = hash_partition(relation.rows, relation.schema, key_names, partitions)
-    return [
-        Relation(relation.schema, cluster, name=f"{relation.name}[{i}]")
-        for i, cluster in enumerate(clusters)
-    ]

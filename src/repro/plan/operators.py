@@ -11,28 +11,25 @@ the algebraic identity and the set-semantics oracle -- behind the same
 open-next-close interface:
 
 :class:`MaterializedDivision` is a stop-and-go operator like sort: its
-``open()`` drains both inputs, runs the relation-level division, and
-``next()`` streams the quotient.  The Cartesian product inside the
+``open()`` drains both inputs and runs the relation-level division, and
+the quotient is handed out as one batch.  The Cartesian product inside the
 algebraic identity is inherently materializing, so wrapping it this way
 loses nothing -- and gains uniform EXPLAIN / EXPLAIN ANALYZE plumbing.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from repro.errors import DivisionError, ExecutionError
 from repro.core.algebraic_division import algebraic_division
-from repro.executor.iterator import QueryIterator, drain, open_all
+from repro.executor.iterator import BufferedIterator, QueryIterator, drain, open_all
 from repro.relalg.algebra import divide_set_semantics, division_attribute_split
 from repro.relalg.relation import Relation
-from repro.relalg.tuples import Row
 
 #: The relation-level division methods this operator can host.
 _METHODS = ("algebraic", "oracle")
 
 
-class MaterializedDivision(QueryIterator):
+class MaterializedDivision(BufferedIterator):
     """Relation-level division behind the iterator protocol.
 
     Args:
@@ -65,7 +62,6 @@ class MaterializedDivision(QueryIterator):
         self.method = method
         self.quotient_names = quotient_names
         self.divisor_names = divisor_names
-        self._output: Iterator[Row] | None = None
 
     def _open(self) -> None:
         open_all((self.dividend, self.divisor))
@@ -81,14 +77,7 @@ class MaterializedDivision(QueryIterator):
             quotient = algebraic_division(dividend, divisor, ctx=self.ctx)
         else:
             quotient = divide_set_semantics(dividend, divisor)
-        self._output = iter(quotient.rows)
-
-    def _next(self) -> Optional[Row]:
-        assert self._output is not None
-        return next(self._output, None)
-
-    def _close(self) -> None:
-        self._output = None
+        self._set_buffer(list(quotient.rows))
 
     def children(self) -> tuple[QueryIterator, ...]:
         return (self.dividend, self.divisor)

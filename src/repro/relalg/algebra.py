@@ -83,29 +83,6 @@ def cartesian_product(left: Relation, right: Relation, name: str = "") -> Relati
     return Relation(schema, rows, name=name)
 
 
-def natural_join(left: Relation, right: Relation, name: str = "") -> Relation:
-    """⋈ on the commonly named attributes (hash-based, set output)."""
-    common = [n for n in left.schema.names if n in right.schema.names]
-    if not common:
-        return cartesian_product(left, right, name=name)
-    right_only = [n for n in right.schema.names if n not in common]
-    schema = left.schema.concat(right.schema.project(right_only)) if right_only else left.schema
-    left_key = projector(left.schema, common)
-    right_key = projector(right.schema, common)
-    right_rest = (
-        projector(right.schema, right_only) if right_only else (lambda row: ())
-    )
-    table: dict[tuple, list[tuple]] = {}
-    for row in right:
-        table.setdefault(right_key(row), []).append(right_rest(row))
-    rows = (
-        l + rest
-        for l in left
-        for rest in table.get(left_key(l), ())
-    )
-    return Relation(schema, dict.fromkeys(rows), name=name)
-
-
 def semi_join(left: Relation, right: Relation, name: str = "") -> Relation:
     """⋉: rows of ``left`` that join with at least one row of ``right``
     on the commonly named attributes (bag semantics on ``left``)."""

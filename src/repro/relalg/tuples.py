@@ -32,7 +32,7 @@ def projector(schema: Schema, names: Sequence[str]) -> KeyFunction:
     """
     positions = schema.positions_of(names)
     if positions == tuple(range(len(schema))):
-        return _identity
+        return identity
     start = positions[0] if positions else 0
     if positions == tuple(range(start, start + len(positions))):
         return itemgetter(slice(start, start + len(positions)))
@@ -40,5 +40,6 @@ def projector(schema: Schema, names: Sequence[str]) -> KeyFunction:
     return itemgetter(*positions)
 
 
-def _identity(row: Row) -> Row:
+def identity(row: Row) -> Row:
+    """The projection of a row onto its whole schema, in order."""
     return row

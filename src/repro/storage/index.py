@@ -103,15 +103,6 @@ class SecondaryIndex:
         for rid in self.probe(key):
             yield codec.decode(self.stored.file.get(rid))
 
-    def scan_keys(self) -> Iterator[tuple]:
-        """Distinct key values in key order (an ordered index scan)."""
-        previous: tuple | None = None
-        for composite, _rid in self._tree.items():
-            key = composite[:-1]
-            if key != previous:
-                previous = key
-                yield key
-
     def __repr__(self) -> str:
         return (
             f"<SecondaryIndex on {self.stored.name}({', '.join(self.key_names)}) "

@@ -43,8 +43,8 @@ class FailingOpen(QueryIterator):
     def _open(self) -> None:
         raise Boom("open failed")
 
-    def _next(self):  # pragma: no cover - never opened
-        return None
+    def _next_batch(self):  # pragma: no cover - never opened
+        return []
 
 
 class ExplodingNext(QueryIterator):
@@ -57,11 +57,11 @@ class ExplodingNext(QueryIterator):
     def _open(self) -> None:
         self.source.open()
 
-    def _next(self):
+    def _next_batch(self):
         row = self.source.next()
         if row is None:
             raise Boom("next failed")
-        return row
+        return [row]
 
     def _close(self) -> None:
         self.source.close()

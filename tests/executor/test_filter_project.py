@@ -46,3 +46,21 @@ class TestProject:
             ["b"],
         )
         assert run_to_relation(plan).rows == [(20,), (30,)]
+
+    def test_identity_projection_passes_the_input_batch_through(self, ctx):
+        relation = Relation.of_ints(("a", "b"), [(1, 10), (2, 20)])
+        source = RelationSource(ctx, relation)
+        plan = Project(source, ["a", "b"])
+        handed_out = []
+        source_next_batch = source.next_batch
+
+        def recording_next_batch():
+            handed_out.append(source_next_batch())
+            return handed_out[-1]
+
+        source.next_batch = recording_next_batch
+        plan.open()
+        batch = plan.next_batch()
+        plan.close()
+        assert batch == relation.rows
+        assert batch is handed_out[0]

@@ -183,18 +183,19 @@ class TestBatchProbes:
         assert cpu == CpuCounters()
 
 
-def _payload_factory(memory, payload_bytes, allocates):
+def _payload_factory(table, payload_bytes, allocates):
     """Numbered payloads with ``payload_bytes`` each, like bit maps:
-    allocated by the factory itself for the per-key loop, booked by
-    the table (``payload_allocation``) for the batch kernel."""
+    allocated by the factory itself for the per-key loop, where a
+    failure counts as an overflow of ``table``, and booked by the table
+    (``payload_allocation``) for the batch kernel."""
     numbers = itertools.count()
 
     def make():
         if allocates:
             try:
-                memory.allocate(payload_bytes, tag="payloads")
+                table.memory.allocate(payload_bytes, tag="payloads")
             except MemoryPoolError as exc:
-                raise HashTableOverflowError(str(exc)) from exc
+                raise table._overflow(exc, site="bitmap") from exc
         return [next(numbers)]
 
     return make
@@ -206,7 +207,7 @@ def _run(keys, cuts, finds, buckets, budget, payload_bytes, batched):
     failure."""
     cpu, memory = CpuCounters(), MemoryPool(budget)
     table = ChainedHashTable(cpu, memory, buckets, 8, tag="t")
-    make = _payload_factory(memory, payload_bytes, allocates=not batched)
+    make = _payload_factory(table, payload_bytes, allocates=not batched)
     results, failed = [], None
     bounds = list(itertools.accumulate(cuts))
     batches = [keys[a:b] for a, b in zip([0] + bounds, bounds + [len(keys)])]
@@ -300,7 +301,7 @@ def _fill(budget, batched):
     everything a caller can observe after the first failure."""
     cpu, memory, tracer = CpuCounters(), MemoryPool(budget), Tracer()
     table = ChainedHashTable(cpu, memory, 4, 8, tag="t", tracer=tracer)
-    make = _payload_factory(memory, BITMAP[0], allocates=not batched)
+    make = _payload_factory(table, BITMAP[0], allocates=not batched)
     error = None
     try:
         if batched:
@@ -335,13 +336,13 @@ def test_batch_insert_failing_at_key_i_matches_per_key_loop(i, site):
     """Key i's chain element, or its bit map, is the first allocation
     that does not fit.  The batch leaves the Hash and Comp, the table's
     overflow count, the overflow metric, the entries and the pool as
-    the per-key loop does; only a chain-element failure is counted as
-    an overflow of the table."""
+    the per-key loop does, and either failure counts as one overflow of
+    the table."""
     before = 4 * BUCKET_HEADER_BYTES + i * (CHAIN + BITMAP[0])
     budget = before + (CHAIN - 1 if site == "chain-element" else CHAIN + BITMAP[0] - 1)
     expected = _fill(budget, batched=False)
     assert expected[0] is not None and len(expected[4]) == i
-    assert expected[2] == (1 if site == "chain-element" else 0)
+    assert expected[2] == 1
     assert _fill(budget, batched=True) == expected
 
 

@@ -1,6 +1,6 @@
 """Tests for table rendering."""
 
-from repro.experiments.report import render_comparison, render_table
+from repro.experiments.report import render_table
 
 
 class TestRenderTable:
@@ -29,16 +29,3 @@ class TestRenderTable:
     def test_empty_rows(self):
         text = render_table(("a", "b"), [])
         assert "a" in text and "b" in text
-
-
-class TestRenderComparison:
-    def test_interleaves_sources(self):
-        text = render_comparison(
-            ("v",),
-            [(1,), (2,)],
-            [(10,), (20,)],
-        )
-        lines = text.splitlines()
-        assert "measured" in lines[2]
-        assert "paper" in lines[3]
-        assert len(lines) == 6

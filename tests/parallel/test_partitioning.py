@@ -5,11 +5,9 @@ import pytest
 from repro.errors import PartitioningError
 from repro.parallel.partitioning import (
     hash_partition,
-    partition_relation,
     range_partition,
     round_robin,
 )
-from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
 
 SCHEMA = Schema.of_ints("q", "d")
@@ -67,13 +65,3 @@ class TestRoundRobin:
     def test_invalid_count(self):
         with pytest.raises(PartitioningError):
             round_robin([], 0)
-
-
-class TestPartitionRelation:
-    def test_produces_named_subrelations(self):
-        relation = Relation(SCHEMA, [(i, 0) for i in range(20)], name="R")
-        parts = partition_relation(relation, ["q"], 4)
-        assert len(parts) == 4
-        assert parts[0].name == "R[0]"
-        assert sum(len(p) for p in parts) == 20
-        assert all(p.schema == SCHEMA for p in parts)

@@ -60,18 +60,6 @@ class TestJoins:
         assert len(product) == 4
         assert product.schema.names == ("a", "b")
 
-    def test_natural_join(self):
-        left = Relation.of_ints(("a", "k"), [(1, 7), (2, 8)])
-        right = Relation.of_ints(("k", "b"), [(7, 70), (7, 71)])
-        joined = algebra.natural_join(left, right)
-        assert sorted(joined.rows) == [(1, 7, 70), (1, 7, 71)]
-        assert joined.schema.names == ("a", "k", "b")
-
-    def test_natural_join_without_common_attributes_is_product(self):
-        left = Relation.of_ints(("a",), [(1,)])
-        right = Relation.of_ints(("b",), [(2,)])
-        assert algebra.natural_join(left, right).rows == [(1, 2)]
-
     def test_semi_join(self):
         left = Relation.of_ints(("a", "k"), [(1, 7), (2, 9)])
         right = Relation.of_ints(("k",), [(7,)])

@@ -448,9 +448,9 @@ def test_examples_reach_the_paths_they_pin():
     batches = []
     walk = NaiveDivision._walk
 
-    def recording_walk(self, rows, first=False):
+    def recording_walk(self, rows):
         batches.append({self._quotient_of(row) for row in rows})
-        return walk(self, rows, first)
+        return walk(self, rows)
 
     with mock.patch.object(NaiveDivision, "_walk", recording_walk):
         result = _observe(GROUPS_SPAN_STRETCHES, "naive", _drain_by_batches)

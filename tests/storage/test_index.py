@@ -44,10 +44,6 @@ class TestBuildAndProbe:
         assert len(index.probe((1, 10))) == 1
         assert index.probe((1, 99)) == []
 
-    def test_scan_keys_ordered_distinct(self, stored_transcript):
-        index = SecondaryIndex.build(stored_transcript, ["course_no"])
-        assert list(index.scan_keys()) == [(10,), (11,), (99,)]
-
     def test_empty_key_rejected(self, stored_transcript):
         with pytest.raises(StorageError):
             SecondaryIndex(stored_transcript, [])
