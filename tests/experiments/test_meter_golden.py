@@ -13,8 +13,15 @@ buffer whose runs outnumber the merge fan-in, so merge passes run in a
 32 KB pool.  Wall-clock work on the storage or executor hot paths must
 leave every one of these numbers unchanged.
 
-The golden file was recorded before the page-at-a-time record path
-existed.  To re-record it after a deliberate model change::
+A second golden, ``table4_buffer_golden.json``, pins the buffer pool's
+per-device ``fixes``, ``misses``, ``evictions`` and ``writebacks`` of
+every case, for the cold load and the run apart: a write path that
+books page fixes itself (instead of calling ``fix``/``unfix``) must book
+the same ones.
+
+The meter golden was recorded before the page-at-a-time record path
+existed, the buffer golden before run pages were written as whole page
+images.  To re-record both after a deliberate model change::
 
     PYTHONPATH=src python -m tests.experiments.test_meter_golden --write
 """
@@ -24,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -36,6 +44,7 @@ from repro.storage.config import KIB, StorageConfig
 from repro.workloads.synthetic import make_exact_division
 
 GOLDEN = Path(__file__).with_name("table4_meters.json")
+BUFFER_GOLDEN = Path(__file__).with_name("table4_buffer_golden.json")
 
 #: (|S|, |Q|) points, 10,000 dividend tuples each.
 POINTS = ((25, 400), (100, 100), (400, 25))
@@ -64,10 +73,31 @@ def _io_meters(ctx: ExecContext, evictions: int, writebacks: int) -> dict:
     }
 
 
+def _buffer_counters(pool, since: dict | None = None) -> dict:
+    """Per-device buffer-pool counters (as deltas from ``since``)."""
+    since = since or {}
+    counters = {}
+    for device, c in sorted(pool.stats.by_device.items()):
+        now = {"fixes": c.fixes, "misses": c.misses, "evictions": c.evictions,
+               "writebacks": c.writebacks}
+        before = since.get(device, {})
+        counters[device] = {name: value - before.get(name, 0) for name, value in now.items()}
+    return counters
+
+
 def measure(
     divisor_tuples: int, quotient_tuples: int, strategy: str, config: str = ""
 ) -> dict:
     """Store one cold ``R = Q x S`` point, run ``strategy``, read every meter."""
+    return _measured(divisor_tuples, quotient_tuples, strategy, config)[0]
+
+
+@cache
+def _measured(
+    divisor_tuples: int, quotient_tuples: int, strategy: str, config: str
+) -> tuple[dict, dict]:
+    """The meters of :func:`measure`, and the per-device buffer-pool
+    counters of the cold load (``setup``) and of the run."""
     dividend, divisor = make_exact_division(divisor_tuples, quotient_tuples)
     events = IoEventLog(capacity=1 << 20)
     ctx = ExecContext(CONFIGS.get(config), io_trace=events)
@@ -76,6 +106,7 @@ def measure(
         catalog.store(dividend, name="dividend", cold=True)
         catalog.store(divisor, name="divisor", cold=True)
         setup = _io_meters(ctx, 0, 0)
+        setup_buffers = _buffer_counters(ctx.pool)
         ctx.reset_meters()
         evictions, writebacks = ctx.pool.stats.evictions, ctx.pool.stats.writebacks
         run = run_strategy(
@@ -84,7 +115,11 @@ def measure(
         )
         cpu = ctx.cpu
         assert events.dropped == 0
-        return {
+        buffers = {
+            "setup": setup_buffers,
+            "run": _buffer_counters(ctx.pool, setup_buffers),
+        }
+        meters = {
             "quotient_tuples": run.quotient_tuples,
             "comp": cpu.comparisons,
             "hash": cpu.hashes,
@@ -96,6 +131,7 @@ def measure(
             ).hexdigest(),
             "setup": setup,
         }
+        return meters, buffers
     finally:
         ctx.close()
 
@@ -127,14 +163,33 @@ def test_meters_match_golden(golden, divisor_tuples, quotient_tuples, strategy, 
     assert measured == golden[_key(divisor_tuples, quotient_tuples, strategy, config)]
 
 
+@pytest.mark.parametrize("divisor_tuples,quotient_tuples,strategy,config", CASES)
+def test_buffer_counters_match_golden(divisor_tuples, quotient_tuples, strategy, config):
+    golden = json.loads(BUFFER_GOLDEN.read_text())
+    measured = _measured(divisor_tuples, quotient_tuples, strategy, config)[1]
+    assert measured == golden[_key(divisor_tuples, quotient_tuples, strategy, config)]
+
+
+def test_buffer_golden_covers_every_case():
+    golden = json.loads(BUFFER_GOLDEN.read_text())
+    assert sorted(golden) == sorted(_key(*case) for case in CASES)
+    # The run pages of the spilling cases are fixed in the pinned counts.
+    assert any(cell["run"].get("runs", {}).get("fixes", 0) > 0 for cell in golden.values())
+
+
 def test_points_spill_and_evict(golden):
     """The pinned points exercise run spills and pool eviction."""
     spilled = [e for e in golden.values() if e["io_detail"].get("runs", 0) > 0]
     assert spilled and all(e["evictions"] > 0 and e["writebacks"] > 0 for e in spilled)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    cells = sorted((_key(*case), measure(*case)) for case in CASES)
+def _write(path: Path, cells: list[tuple[str, dict]]) -> None:
     lines = [f"{json.dumps(key)}: {json.dumps(cell, sort_keys=True)}" for key, cell in cells]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(lines)} cells to {GOLDEN}")
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(lines)} cells to {path}")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    keyed = sorted((_key(*case), _measured(*case)) for case in CASES)
+    _write(GOLDEN, [(key, meters) for key, (meters, _) in keyed])
+    _write(BUFFER_GOLDEN, [(key, buffers) for key, (_, buffers) in keyed])
