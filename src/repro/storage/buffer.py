@@ -242,6 +242,55 @@ class BufferPool:
         frame.fix_count = 1
         return memoryview(frame.data)
 
+    def write_new_page(
+        self, device: str, page_no: int, blank: bytes, image: bytearray
+    ) -> bool:
+        """Put a freshly allocated disk page in the pool, holding ``image``.
+
+        One call for what :meth:`fix_new`, writing ``blank`` (the page
+        formatted empty) into it, ``unfix(dirty=True)``, :meth:`fix`,
+        writing ``image`` over it and ``unfix(dirty=True)`` book: the
+        same fixes, evictions and write-backs of other frames, observer
+        events, LRU order and, if an eviction fails, the same frame
+        left behind.  The pool keeps ``image`` as the frame.
+
+        Returns ``False`` when every other frame is fixed, so the first
+        unfix evicts the page itself: it is written back as ``blank``,
+        ``image`` is dropped, and the caller's next :meth:`fix` misses,
+        as on the per-call path.
+        """
+        key = (device, page_no)
+        disk = self._disks.get(device)
+        frame = self._frames.get(key)
+        if disk is None or len(image) != disk.page_size or (frame and frame.fix_count):
+            raise BufferPoolError(f"page ({device!r}, {page_no}) is not a fresh disk page")
+        self._count_fix(device, page_no)
+        if frame is None:
+            frame = self._install(device, page_no, bytearray(blank))
+        else:
+            # Left formatted by an append whose eviction failed, as
+            # fix_new leaves it: fix_new fixes it again.
+            self._lru.pop(key, None)
+        frame.dirty = True
+        observer = self.observer
+        if observer is not None:
+            observer("unfix", device, page_no)
+        lru = self._lru
+        lru[key] = None
+        target = self.config.buffer_size
+        while self._bytes_in_use > target and lru:
+            if next(iter(lru)) == key:
+                self._shrink_to_target()
+                return False
+            self._evict_one()
+        # The fix that fills the page hits, and its unfix leaves the
+        # page last in the LRU list with the pool at its target size.
+        self._count_fix(device, page_no)
+        frame.data = image
+        if observer is not None:
+            observer("unfix", device, page_no)
+        return True
+
     def fix(self, device: str, page_no: int) -> memoryview:
         """Fix a page in the pool, reading it from disk on a miss.
 

@@ -124,7 +124,7 @@ class Catalog:
         if not stored_name:
             raise StorageError("relation needs a name to be stored")
         stored = self.create(stored_name, relation.schema)
-        stored.file.append_rows(relation, stored.codec)
+        stored.file.append_rows(relation.rows, stored.codec)
         stored.bump_version()
         if cold:
             self.pool.flush_device(self.disk.name)

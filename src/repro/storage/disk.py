@@ -43,7 +43,9 @@ class SimulatedDisk(PagedDiskBase):
         **fault_kwargs,
     ) -> None:
         super().__init__(name, page_size, stats, **fault_kwargs)
-        self._pages: list[bytearray] = []
+        #: Page images, as the ``bytes`` :meth:`write_page` checksummed
+        #: (kept, not copied); reads hand out a mutable copy.
+        self._pages: list[bytes] = []
 
     # -- physical-storage hooks ------------------------------------------
 
@@ -52,15 +54,14 @@ class SimulatedDisk(PagedDiskBase):
 
     def _grow(self, pages: int) -> int:
         first = len(self._pages)
-        for _ in range(pages):
-            self._pages.append(bytearray(self.page_size))
+        self._pages.extend([bytes(self.page_size)] * pages)
         return first
 
     def _read_raw(self, page_no: int) -> bytearray:
         return bytearray(self._pages[page_no])
 
     def _write_raw(self, page_no: int, data: bytes) -> None:
-        self._pages[page_no] = bytearray(data)
+        self._pages[page_no] = data
 
     def _release(self) -> None:
         self._pages.clear()

@@ -441,7 +441,8 @@ class PagedDiskBase:
         raise NotImplementedError
 
     def _write_raw(self, page_no: int, data: bytes) -> None:
-        """Store one page's bytes, without accounting."""
+        """Store one page's bytes, without accounting.  ``data`` is an
+        immutable ``bytes``, so it may be kept as it is."""
         raise NotImplementedError
 
     def _release(self) -> None:

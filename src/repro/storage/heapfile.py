@@ -16,6 +16,19 @@ Writers and readers that need no record ids work a page at a time:
 packs them with one ``struct`` call and fixes the page once to copy
 them in, and :meth:`HeapFile.scan_pages` decodes a whole page while it
 is fixed.
+
+Rows handed over as a ``list`` (sort runs, stored relations) are
+written a whole page at a time: packed once, sliced per page, and every
+page the list starts is built as a complete slotted-page image
+(:func:`~repro.storage.page.fresh_page_image`) that one
+:meth:`~repro.storage.buffer.BufferPool.write_new_page` call installs,
+booking the fixes, evictions and write-backs of formatting the page and
+filling it.  The page is formatted and filled call by call instead
+when the two would differ: every other frame is fixed, so the formatted
+page evicts itself before it is filled; or a row is refused, or is too
+large for an empty page.  Other sources take their rows page by page
+as they are pulled, so a source that raises leaves the rows before it
+written.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import SLOT_SIZE, SlottedPage
+from repro.storage.page import SLOT_SIZE, SlottedPage, fresh_page_image
 
 if TYPE_CHECKING:
     from repro.relalg.schema import RecordCodec
@@ -86,6 +99,9 @@ class HeapFile:
         #: Free space of the last data page (SlottedPage.free_space);
         #: only this file's appends change it.
         self._tail_free = 0
+        #: A formatted empty page, and its free space.
+        self._blank = bytes(fresh_page_image(disk.page_size, b"", 0))
+        self._blank_free = SlottedPage(self._blank).free_space
         self._record_count = 0
         self._destroyed = False
 
@@ -128,7 +144,8 @@ class HeapFile:
 
         Takes the rows that fit the last page, packs them with
         :meth:`~repro.relalg.schema.RecordCodec.pack_rows` and fixes
-        the page once to copy them in; the next row starts a new page.
+        the page once to copy them in; the next row starts a new page
+        (a whole page image, for a ``list``: see the module docstring).
         Pages, record ids, buffer-pool misses, evictions and physical
         I/O are those of calling :meth:`append` with
         :meth:`~repro.relalg.schema.RecordCodec.encode` of each row, as
@@ -141,8 +158,17 @@ class HeapFile:
         error propagates, as it would record by record.
         """
         self._check_live()
+        size = codec.record_size
+        if isinstance(rows, list) and _fitting(self._blank_free, size):
+            try:
+                data = codec.pack_rows(rows)
+            except Exception:
+                pass  # the loop below finds the refused row
+            else:
+                self._append_packed(memoryview(data), len(rows), size)
+                return len(rows)
         rows = iter(rows)
-        size, count = codec.record_size, 0
+        count = 0
         while True:
             room = _fitting(self._tail_free, size) if self._pages else 0
             chunk = []
@@ -270,12 +296,10 @@ class HeapFile:
 
     # -- internals ----------------------------------------------------------------
 
-    def _start_page(self) -> None:
-        """Make a fresh, formatted page the last data page.
-
-        Takes the next page of the current extent, or allocates a new
-        extent.
-        """
+    def _fresh_page_no(self) -> int:
+        """The next page of the current extent, allocating a new extent
+        when it is used up; :meth:`_take_page` makes it the last data
+        page."""
         if not self._unused_extent_pages:
             self._unused_extent_pages = self.disk.allocate_extent(self.extent_pages)
             # File attribution for page-level I/O tracing: register the
@@ -285,21 +309,56 @@ class HeapFile:
                 trace.register_pages(
                     self.disk.name, self._unused_extent_pages, self.name
                 )
-        # Peek, don't pop: fix_new may evict a dirty victim frame whose
-        # write-back faults, and a page popped before that point would
-        # belong to neither list -- invisible to destroy() and leaked
-        # on the device (found by the chaos suite under injected
-        # temp-device write faults).
-        page_no = self._unused_extent_pages[0]
+        # Peek, don't pop: installing the page may evict a dirty victim
+        # frame whose write-back faults, and a page popped before that
+        # point would belong to neither list -- invisible to destroy()
+        # and leaked on the device (found by the chaos suite under
+        # injected temp-device write faults).
+        return self._unused_extent_pages[0]
+
+    def _take_page(self, page_no: int, free: int) -> None:
+        self._unused_extent_pages.pop(0)
+        self._pages.append(page_no)
+        self._page_set.add(page_no)
+        self._tail_free = free
+
+    def _start_page(self) -> None:
+        """Make a fresh, formatted page the last data page."""
+        page_no = self._fresh_page_no()
         # Install a zeroed frame for the fresh page so formatting does
         # not require reading garbage from disk.
         view = self.pool.fix_new(self.disk.name, page_no)
         free = SlottedPage.format(view).free_space
         self.pool.unfix(self.disk.name, page_no, dirty=True)
-        self._unused_extent_pages.pop(0)
-        self._pages.append(page_no)
-        self._page_set.add(page_no)
-        self._tail_free = free
+        self._take_page(page_no, free)
+
+    def _append_packed(self, data: memoryview, count: int, size: int) -> None:
+        """Append ``count`` records of ``size`` bytes, packed back to
+        back in ``data``: the last page takes what fits, with the fixes
+        of the loop in :meth:`append_rows`, and the rest go to fresh
+        pages, one page image each."""
+        done = 0
+        if self._pages and count:
+            done = min(count, _fitting(self._tail_free, size))
+            # With no room the last page is still fixed once, as the
+            # loop's probe fixes it.
+            self._fill_tail(data[: done * size], done)
+        page_size, device = self.disk.page_size, self.disk.name
+        per_page = _fitting(self._blank_free, size)
+        while done < count:
+            end = min(count, done + per_page)
+            part = data[done * size : end * size]
+            page_no = self._fresh_page_no()
+            image = fresh_page_image(page_size, part, end - done)
+            if self.pool.write_new_page(device, page_no, self._blank, image):
+                # Each record takes its bytes and a slot (see _fitting).
+                free = max(0, self._blank_free - (end - done) * (size + SLOT_SIZE))
+                self._take_page(page_no, free)
+                self._record_count += end - done
+            else:
+                self._take_page(page_no, self._blank_free)
+                self._fill_tail(part, end - done)
+            done = end
 
     def _write_rows(self, chunk: list[tuple], codec: RecordCodec) -> None:
         """Pack ``chunk`` (rows that fit the last page) into it.

@@ -18,7 +18,8 @@ Besides the per-record accessors, a page works a batch at a time:
 records, packed back to back, with one slice assignment and writes the
 header once, and :meth:`SlottedPage.unpack_records` decodes every live
 record, with one ``iter_unpack`` when the slot directory shows the
-dense layout of sequential inserts.
+dense layout of sequential inserts.  :func:`fresh_page_image` builds
+the bytes of a fresh page filled that way without a page to fill.
 
 The page operates directly on a caller-supplied ``bytearray`` -- in
 practice a buffer-pool frame -- so record accessors hand out
@@ -60,6 +61,24 @@ def _dense_directory(slot_count: int, record_size: int) -> bytes:
     header, none deleted.  (Bytes, not a tuple of ints: a cached tuple's
     int objects pin allocator arenas and raised peak RSS.)"""
     return _directory(HEADER_SIZE, slot_count, record_size)
+
+
+def fresh_page_image(page_size: int, data: bytes, count: int) -> bytearray:
+    """The bytes of a ``page_size``-byte page that :meth:`SlottedPage.format`
+    and :meth:`SlottedPage.insert_packed` of ``count`` equal-length
+    records, packed back to back in ``data``, leave: the header, the
+    records from the header on, and the cached dense directory.
+
+    The records must fit an empty page; with ``count == 0`` this is the
+    formatted empty page.
+    """
+    image = bytearray(page_size)
+    end = HEADER_SIZE + len(data)
+    _HEADER.pack_into(image, 0, count, end)
+    image[HEADER_SIZE:end] = data
+    if count:
+        image[page_size - count * SLOT_SIZE :] = _dense_directory(count, len(data) // count)
+    return image
 
 
 class SlottedPage:

@@ -1,18 +1,25 @@
 """The page-at-a-time record path equals the record-at-a-time one.
 
 :meth:`HeapFile.append_rows` packs the rows that fit the last page with
-one ``struct`` call and fixes the page once, and
-:meth:`HeapFile.scan_tuples` decodes a whole page while it is fixed.
-Against :meth:`HeapFile.append` of :meth:`RecordCodec.encode` per row
-and :meth:`HeapFile.scan` plus :meth:`RecordCodec.decode` per record,
-these properties demand the same page bytes, rows and record-id order;
-the same I/O statistics and I/O event log; the same error, with the
-rows before it written, when the source fails or a row is refused; no
-frame left fixed after a :class:`PageError`; and, under the chaos
-storage config with injected disk faults, the same outcomes and the
-same fault schedule.  Files sit on the data device or the run device,
-with the chaos config's 512/256-byte pages or the default 8 KB data
-and 1 KB run pages, in a four-frame pool.
+one ``struct`` call and fixes the page once, builds each page a list of
+rows starts as one page image installed by
+:meth:`BufferPool.write_new_page`, and :meth:`HeapFile.scan_tuples`
+decodes a whole page while it is fixed.  Against :meth:`HeapFile.append`
+of :meth:`RecordCodec.encode` per row and :meth:`HeapFile.scan` plus
+:meth:`RecordCodec.decode` per record, these properties demand, for
+rows appended as a stream and as a list, the same page bytes, rows and
+record-id order; the same I/O statistics and I/O event log; the same
+per-device buffer-pool counters and, with an observer attached, the
+same buffer event sequence; the same error, with the rows before it
+written, when the source fails or a row is refused; no frame left fixed
+after a :class:`PageError`; and, under the chaos storage config with
+injected disk faults, the same outcomes and the same fault schedule.
+Files sit on the data device or the run device, with the chaos config's
+512/256-byte pages or the default 8 KB data and 1 KB run pages, in a
+four-frame pool.  Some inserts run while every frame of another file is
+fixed, so each fresh page evicts itself before it is filled; there the
+page images are held to appending a stream, since record by record
+differs already (see :func:`_equal_paths`).
 """
 
 from __future__ import annotations
@@ -94,12 +101,14 @@ def workloads(draw):
     value = st.integers(-(2**40), 2**40)
     row = st.tuples(value, value if schema is INT_SCHEMA else names)
     # Rows repeated up to 8 times: an insert can span 8 KB pages.
-    insert = st.tuples(st.just("insert"), st.lists(row, max_size=60), st.integers(1, 8))
+    rows = st.lists(row, max_size=60)
+    insert = st.tuples(st.just("insert"), rows, st.integers(1, 8))
     steps = draw(
         st.lists(
             st.one_of(
                 insert,
                 insert,
+                st.tuples(st.just("pinned"), rows, st.integers(1, 8)),
                 st.tuples(st.just("delete"), st.integers(2, 5)),
                 st.tuples(st.just("read")),
                 st.tuples(st.just("evict")),
@@ -108,7 +117,7 @@ def workloads(draw):
             max_size=8,
         )
     )
-    inserts = [i for i, step in enumerate(steps) if step[0] == "insert"]
+    inserts = [i for i, step in enumerate(steps) if step[0] in ("insert", "pinned")]
     planted = None
     if inserts and draw(st.booleans()):
         step = draw(st.sampled_from(inserts))
@@ -128,18 +137,44 @@ def _rows(step_index, rows, planted):
         yield row
 
 
-def _append(heap, rows, codec, batched):
-    if batched:
+#: How rows are appended: one record at a time (the reference), or
+#: with append_rows of the source itself or of a list of its rows.
+MODES = ("records", "stream", "list")
+
+
+def _append(heap, rows, codec, mode):
+    if mode == "stream":
         heap.append_rows(rows, codec)
+    elif mode == "list":
+        taken = []
+        try:
+            taken.extend(rows)
+        finally:
+            # A failing source leaves the rows it yielded before.
+            heap.append_rows(taken, codec)
     else:
         for row in rows:
             heap.append(codec.encode(row))
 
 
-def _apply(step, index, heap, other, codec, planted, batched):
+def _apply(step, index, heap, other, codec, planted, mode):
     kind = step[0]
     if kind == "insert":
-        _append(heap, _rows(index, step[1] * step[2], planted), codec, batched)
+        _append(heap, _rows(index, step[1] * step[2], planted), codec, mode)
+        return heap.record_count
+    if kind == "pinned":
+        # Every frame of the other file stays fixed while the rows go
+        # in: a fresh page then evicts itself before it is filled.
+        pool, device = other.pool, other.disk.name
+        pinned = []
+        try:
+            for page_no in other.page_numbers:
+                pool.fix(device, page_no)
+                pinned.append(page_no)
+            _append(heap, _rows(index, step[1] * step[2], planted), codec, mode)
+        finally:
+            for page_no in pinned:
+                pool.unfix(device, page_no)
         return heap.record_count
     if kind == "delete":
         victims = [rid for rid, rec in heap.scan() if codec.decode(rec)[0] % step[1] == 0]
@@ -147,13 +182,13 @@ def _apply(step, index, heap, other, codec, planted, batched):
             heap.delete(rid)
         return len(victims)
     if kind == "read":
-        if batched:
+        if mode != "records":
             return list(heap.scan_tuples(codec))
         return [codec.decode(record) for _rid, record in heap.scan()]
     # "evict": writing the other file fills the pool with dirty pages
     # and pushes this one's out.
     assert kind == "evict", kind
-    _append(other, _filler(codec.schema, other.disk.page_size), codec, batched)
+    _append(other, _filler(codec.schema, other.disk.page_size), codec, mode)
     return other.record_count
 
 
@@ -163,16 +198,19 @@ def _filler(schema, page_size):
     return [(i, i if schema is INT_SCHEMA else "pad") for i in range(count)]
 
 
-def run(workload, batched, rules=(), fault_seed=0):
+def run(workload, mode, rules=(), fault_seed=0, observe=False):
     """Apply the workload's steps to a fresh heap file; returns every
-    observable."""
+    observable (with ``observe``, also the pool's observer events)."""
     config, device, schema, steps, planted = workload
     trace = IoEventLog(capacity=1_000_000)
     ctx = ExecContext(config=CONFIGS[config], io_trace=trace)
     codec = schema.codec()
+    pool_events = []
+    if observe:
+        ctx.pool.observer = lambda *event: pool_events.append(event)
     try:
         other = HeapFile(ctx.pool, ctx.data_disk, name="other")
-        _append(other, _filler(schema, ctx.data_disk.page_size), codec, batched)
+        _append(other, _filler(schema, ctx.data_disk.page_size), codec, mode)
         disk = ctx.data_disk if device == "data" else ctx.run_disk
         heap = HeapFile(ctx.pool, disk, name="heap")
         injector = None
@@ -186,7 +224,7 @@ def run(workload, batched, rules=(), fault_seed=0):
                 ctx.attach_fault_injector(injector)
                 continue
             try:
-                outcomes.append(_apply(step, index, heap, other, codec, planted, batched))
+                outcomes.append(_apply(step, index, heap, other, codec, planted, mode))
             except (ReproError, struct.error, SourceFailed) as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
             assert ctx.pool.fixed_page_count() == 0, "frames left fixed"
@@ -198,6 +236,13 @@ def run(workload, batched, rules=(), fault_seed=0):
             "io_ms": ctx.io_cost_ms(),
             "events": trace.events(),
             "pool": (pool.misses, pool.evictions, pool.writebacks),
+            "pool_devices": {
+                name: (c.misses, c.evictions, c.writebacks)
+                for name, c in pool.by_device.items()
+            },
+            # A page-at-a-time write fixes a page once for many records.
+            "page_fixes": {name: c.fixes for name, c in pool.by_device.items()},
+            "page_events": pool_events,
             "schedule": schedule_to_jsonl(injector.schedule) if injector else "",
             "record_count": heap.record_count,
             "pages": heap.page_numbers,
@@ -220,12 +265,26 @@ def _page_bytes(ctx, device, page_no):
         ctx.pool.unfix(device, page_no)
 
 
-def _equal_paths(workload):
-    """Runs the workload both ways, asserts they agree, and returns the
-    page-at-a-time observables."""
-    batched = run(workload, batched=True)
-    assert batched == run(workload, batched=False)
-    return batched
+def _per_record(observed):
+    """The observables that appending record by record shares."""
+    return {k: v for k, v in observed.items() if not k.startswith("page_")}
+
+
+def _equal_paths(workload, rules=(), fault_seed=0, observe=False):
+    """Runs the workload every way, asserts they agree, and returns the
+    observables of appending lists.  Appending a list (page images) and
+    a stream (fix, format, fix and fill) must agree on everything,
+    fixes and observer events included."""
+    listed = run(workload, "list", rules, fault_seed, observe)
+    streamed = run(workload, "stream", rules, fault_seed, observe)
+    assert listed == streamed
+    if not any(step[0] == "pinned" for step in workload[3]):
+        # With every other frame fixed, the last page is evicted by its
+        # own unfix, so append()'s fits probe at each page change misses
+        # where append_rows (which probes once per call) fixes nothing.
+        records = run(workload, "records", rules, fault_seed, observe)
+        assert _per_record(streamed) == _per_record(records)
+    return listed
 
 
 SETTINGS = settings(
@@ -233,18 +292,41 @@ SETTINGS = settings(
 )
 
 
-@given(workloads())
+@given(workloads(), st.booleans())
 @SETTINGS
-def test_page_path_equals_record_path(workload):
-    _equal_paths(workload)
+def test_page_path_equals_record_path(workload, observe):
+    _equal_paths(workload, observe=observe)
 
 
 @given(workloads(), st.integers(0, 2**32))
 @SETTINGS
 def test_page_path_equals_record_path_under_faults(workload, fault_seed):
-    rules = default_chaos_rules(random.Random(fault_seed))
-    batched = run(workload, True, rules, fault_seed)
-    assert batched == run(workload, False, rules, fault_seed)
+    _equal_paths(workload, default_chaos_rules(random.Random(fault_seed)), fault_seed)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        FaultRule("transient", op="write", device="runs", probability=0.3),
+        FaultRule("permanent", op="write", device="runs", probability=0.1, max_fires=1),
+        FaultRule("torn", op="write", device="runs", probability=0.2),
+    ],
+    ids=["transient", "permanent", "torn"],
+)
+@pytest.mark.parametrize("fault_seed", range(4))
+def test_run_device_write_faults(rule, fault_seed):
+    """Run pages written under injected run-device write faults, with
+    evictions and fixed frames: the same outcomes and fault schedule."""
+    steps = [
+        ("insert", [(i, -i) for i in range(300)], 1),
+        ("evict",),
+        ("insert", [(i, 2 * i) for i in range(200)], 1),
+        ("read",),
+    ]
+    observed = _equal_paths(("chaos", "runs", INT_SCHEMA, steps, None), [rule], fault_seed)
+    assert observed["schedule"]
+    pinned = [("pinned", [(i, i) for i in range(120)], 1), *steps]
+    _equal_paths(("chaos", "runs", INT_SCHEMA, pinned, None), [rule], fault_seed)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +405,7 @@ def test_workloads_reach_the_interesting_paths():
         ("insert", [(i, -i) for i in range(60)], 1),
         ("read",),
     ]
-    observed = run(("chaos", "data", INT_SCHEMA, steps, None), batched=True)
+    observed = run(("chaos", "data", INT_SCHEMA, steps, None), "list")
     assert len(observed["pages"]) > 3
     assert observed["pool"][0] > 0  # evicted pages were read back
     assert len(observed["outcomes"][-1]) == 160 - 34
@@ -362,10 +444,80 @@ def test_eviction_fault_after_a_cold_tail_fix():
         ("faults", [FaultRule("permanent", op="write", device="data")]),
         ("insert", [(i, -i) for i in range(10)], 1),
     ]
-    for batched in (True, False):
-        observed = run(("chaos", "data", INT_SCHEMA, steps, None), batched)
+    for mode in MODES:
+        observed = run(("chaos", "data", INT_SCHEMA, steps, None), mode)
         assert observed["outcomes"][-1][0] == "DiskFaultError"
         assert observed["record_count"] == 91
+
+
+class TestPageImageFallbacks:
+    """Each case where a list's fresh page is not installed whole, by
+    one write_new_page call, and is still written as a stream is."""
+
+    @staticmethod
+    def _spy(calls):
+        """Record, per write_new_page call, whether the page was already
+        resident and what the call returned."""
+        write_new_page = BufferPool.write_new_page
+
+        def spy(pool, device, page_no, blank, image):
+            resident = (device, page_no) in pool._frames
+            filled = write_new_page(pool, device, page_no, blank, image)
+            calls.append((resident, filled))
+            return filled
+
+        return mock.patch.object(BufferPool, "write_new_page", spy)
+
+    def test_a_fresh_page_that_evicts_itself_is_filled_by_a_fix(self):
+        """Every other frame fixed: the formatted page is evicted by its
+        own unfix and read back to be filled, split by the over-target
+        rule."""
+        steps = [("pinned", [(i, i) for i in range(60)], 1), ("read",)]
+        calls = []
+        with self._spy(calls):
+            observed = _equal_paths(("chaos", "data", INT_SCHEMA, steps, None), observe=True)
+        assert (False, False) in calls
+        assert observed["outcomes"][-1] == [(i, i) for i in range(60)]
+
+    def test_a_page_left_by_a_failed_eviction_is_installed_again(self):
+        """Installing a fresh page evicts a dirty frame whose write-back
+        fails; the next append finds the fresh page still in the pool.
+        (The first write-back is the fits probe's, on the full last page.)"""
+        fault = FaultRule("permanent", op="write", device="data", every_nth=2, max_fires=1)
+        steps = [
+            ("insert", [(i, i) for i in range(50)], 1),  # two full pages
+            ("evict",),
+            ("faults", [fault]),
+            ("insert", [(i, -i) for i in range(30)], 1),
+            ("insert", [(i, -i) for i in range(30)], 1),
+        ]
+        calls = []
+        with self._spy(calls):
+            observed = _equal_paths(("chaos", "data", INT_SCHEMA, steps, None))
+        assert observed["outcomes"][2][0] == "DiskFaultError"
+        assert (True, True) in calls
+
+    @pytest.mark.parametrize(
+        "schema,steps",
+        [
+            # A refused row: the list is written as a stream.
+            (INT_SCHEMA, [("insert", [(i, i) for i in range(40)] + [NOT_AN_INT], 1)]),
+            # A record too large for an empty page.
+            (OVERSIZED_SCHEMA, [("insert", [(1, "x")], 1)]),
+        ],
+        ids=["refused-row", "oversized"],
+    )
+    def test_lists_written_as_streams(self, schema, steps):
+        written = []
+        append_packed = HeapFile._append_packed
+
+        def spy(heap, *args):
+            written.append(heap.name)
+            return append_packed(heap, *args)
+
+        with mock.patch.object(HeapFile, "_append_packed", spy):
+            _equal_paths(("chaos", "data", schema, steps, None))
+        assert "heap" not in written
 
 
 class TestUnpackRecords:
