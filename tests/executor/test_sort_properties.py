@@ -1,6 +1,7 @@
 """Property-based tests for the external sort."""
 
 from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, DataType, Schema
 from repro.relalg.tuples import projector
 from repro.storage.config import StorageConfig
+from repro.storage.heapfile import HeapFile
 
 rows_strategy = st.lists(
     st.tuples(
@@ -80,23 +82,23 @@ KEY_ATTRIBUTES = {
 KEY_VALUES = {
     "int": st.integers(-5, 5),
     "string": st.sampled_from(["", "a", "ab", "b", "é", "zz"]),
-    "float": st.sampled_from([-1.5, 0.0, 2.0, NAN]),
+    "float": st.sampled_from([-1.5, -0.0, 0.0, 2.0, NAN]),
 }
 
 
 @st.composite
 def keyed_sorts(draw):
-    """A (k, v) relation with a key type and a sort: plain, distinct or
-    count-reducing, on one attribute, several, or the whole row."""
+    """A (k, v, w) relation with a key type for ``k`` and a sort: plain,
+    distinct or count-reducing, on an ordered subset of the attributes
+    (the whole row included), with ties on every attribute."""
     kind = draw(st.sampled_from(sorted(KEY_ATTRIBUTES)))
-    schema = Schema((KEY_ATTRIBUTES[kind], Attribute("v")))
-    rows = draw(st.lists(st.tuples(KEY_VALUES[kind], st.integers(-3, 3)), max_size=200))
+    schema = Schema((KEY_ATTRIBUTES[kind], Attribute("v"), Attribute("w", DataType.STRING, 2)))
+    row = st.tuples(KEY_VALUES[kind], st.integers(-3, 3), st.sampled_from(["", "x", "y"]))
+    rows = draw(st.lists(row, max_size=200))
+    order = draw(st.permutations(["k", "v", "w"]))
+    keys = order[: draw(st.integers(1, 3))]
     mode = draw(st.sampled_from(["plain", "distinct", "reducer"]))
-    if mode == "reducer":
-        group = draw(st.sampled_from([["k"], ["v"], ["k", "v"]]))
-        return Relation(schema, rows), mode, group, group
-    keys = draw(st.sampled_from([["k"], ["v"], ["k", "v"], ["v", "k"]]))
-    return Relation(schema, rows), mode, keys, None
+    return Relation(schema, rows), mode, keys, keys if mode == "reducer" else None
 
 
 def _run_sort(case, tuple_keys):
@@ -107,18 +109,31 @@ def _run_sort(case, tuple_keys):
         RelationSource(ctx, relation), keys, distinct=mode == "distinct", reducer=reducer
     )
     if tuple_keys:
-        # The key every sort used before: a tuple per row, or the row.
+        # The keys every sort used before: a tuple per row, or the row,
+        # and a counting sort's group-key tuples.
         sort._key = projector(sort.schema, keys)
-    rows = run_to_relation(sort).rows
+        sort._passes = None
+        if reducer is not None:
+            sort._group, sort._bare_groups = reducer.group, False
+    runs = []
+    append_rows = HeapFile.append_rows
+
+    def spy(heap, rows, codec):
+        runs.append((heap.name, repr(rows)))
+        return append_rows(heap, rows, codec)
+
+    with mock.patch.object(HeapFile, "append_rows", spy):
+        rows = run_to_relation(sort).rows
     # repr: rows decoded from runs hold fresh NaN objects, unequal to
     # any other NaN.
-    return repr(rows), ctx.cpu.snapshot(), sort.runs_spilled, sort.merge_passes_performed
+    return repr(rows), ctx.cpu.snapshot(), sort.run_lengths, sort.merge_passes_performed, runs
 
 
 @given(keyed_sorts())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_sort_keys_order_and_group_as_the_tuple_keys(case):
-    """Whole-row sorts compare rows, one-attribute sorts compare the
-    attribute (a FLOAT64 one its 1-tuple): rows, order and counters
-    are those of a tuple key per row."""
+    """Per-attribute ``itemgetter`` passes, one-attribute scalar keys
+    and scalar group keys (a FLOAT64 attribute keeps its tuple): rows,
+    the order of equal keys, Comp and the run files written are those
+    of a tuple key per row."""
     assert _run_sort(case, tuple_keys=False) == _run_sort(case, tuple_keys=True)
