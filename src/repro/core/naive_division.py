@@ -16,17 +16,21 @@ sorted inputs.  The plan factory
 (:func:`repro.plan.physical.build_division_operator`, strategy
 ``"naive"``) puts the necessary sorts below the operator.
 
-The merge scan walks the dividend a batch at a time.  The group state
--- current quotient key, divisor-list position and failed flag -- lives
-on the operator, so a group may span batches.  A batch returns every
-quotient tuple its rows complete, with the Comp the row-at-a-time walk
-charges: one per tuple for the group test, one more for the tuple that
-opens the next group, and the divisor walk.
+The merge scan takes the dividend a batch at a time and walks it until
+a tuple completes a group: the first tuple of the next group, when the
+group reached the end of the divisor list.  That group's quotient tuple
+is returned at once, and the rest of the batch stays on the operator
+for the next call, so output streams group by group whatever the batch
+size.  The group state -- current quotient key, divisor-list position
+and failed flag -- lives on the operator too, so a group may span
+batches.  The walk charges the Comp of the row-at-a-time walk: one per
+tuple for the group test, one more for the tuple that opens the next
+group, and the divisor walk.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator
 
 from repro.errors import DivisionError, ExecutionError
 from repro.executor.iterator import QueryIterator
@@ -71,6 +75,8 @@ class NaiveDivision(QueryIterator):
         self._index = 0
         self._failed = False
         self._done = False
+        #: The rest of the dividend batch being walked.
+        self._rows: Iterator[Row] = iter(())
 
     def _open(self) -> None:
         tracer = self.ctx.tracer
@@ -108,15 +114,20 @@ class NaiveDivision(QueryIterator):
         self._reset_scan()
 
     def _next_batch(self) -> list[Row]:
-        quotient: list[Row] = []
-        while not quotient and not self._done:
+        while not self._done:
+            quotient = self._walk()
+            if quotient:
+                return quotient
             rows = self.dividend.next_batch()
-            quotient = self._walk(rows) if rows else self._end_scan()
-        return quotient
+            if not rows:
+                return self._end_scan()
+            self._rows = iter(rows)
+        return []
 
-    def _walk(self, rows: Sequence[Row]) -> list[Row]:
-        """Merge-scan dividend tuples; returns the quotient tuples of
-        the groups they complete."""
+    def _walk(self) -> list[Row]:
+        """Merge-scan the rest of the batch up to the first tuple that
+        completes a group; returns that group's quotient tuple, or
+        ``[]`` once the batch is used up."""
         quotient_of, divisor_of = self._quotient_of, self._divisor_of
         divisor_list = self._divisor_list
         divisor_len = len(divisor_list)
@@ -124,13 +135,13 @@ class NaiveDivision(QueryIterator):
         quotient: list[Row] = []
         comparisons = 0
         try:
-            for row in rows:
+            for row in self._rows:
                 comparisons += 1  # does the tuple belong to this group?
                 key = quotient_of(row)
                 if key != group_key:
                     if group_key is not None:
                         if not failed and index == divisor_len:
-                            quotient.append(group_key)
+                            quotient = [group_key]
                         # The tuple is tested again as the first of its group.
                         comparisons += 1
                     group_key, index, failed = key, 0, False
@@ -148,6 +159,8 @@ class NaiveDivision(QueryIterator):
                 # else: the dividend tuple matches no divisor tuple
                 # (e.g. a physics course in the paper's second example);
                 # it is simply skipped.
+                if quotient:
+                    break
         finally:
             self.ctx.cpu.comparisons += comparisons
             self._group_key, self._index, self._failed = group_key, index, failed

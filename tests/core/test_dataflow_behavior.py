@@ -10,7 +10,7 @@ final merge (footnote 2).
 
 from repro.core.hash_division import HashDivision
 from repro.core.naive_division import NaiveDivision
-from repro.executor.iterator import QueryIterator
+from repro.executor.iterator import ExecContext, QueryIterator, drain
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort
 from repro.relalg.relation import Relation
@@ -98,6 +98,30 @@ class TestProducerBehaviour:
         # Only the first group (plus one lookahead tuple) was pulled.
         assert dividend.pulled <= 4 + 1
         plan.close()
+
+    def test_naive_division_streams_groups_of_a_whole_batch(self):
+        """A producer that hands out all 400 tuples in one batch: the
+        first quotient tuple leaves once the tuple completing its group
+        is walked, with the Comp of the five tuples a one-tuple-per-batch
+        source lets the walk pull."""
+        rows = sorted((q, d) for q in range(100) for d in range(4))
+        divisor = Relation.of_ints(("d",), [(d,) for d in range(4)])
+        charged, pulled = [], []
+        for source in (RelationSource, CountingSource):
+            ctx = ExecContext()
+            dividend = source(ctx, Relation.of_ints(("q", "d"), rows))
+            plan = NaiveDivision(dividend, RelationSource(ctx, divisor))
+            plan.open()
+            before = ctx.cpu.comparisons
+            assert plan.next_batch() == [(0,)]
+            charged.append(ctx.cpu.comparisons - before)
+            pulled.append(dividend.rows_produced)
+            assert plan.next() == (1,)
+            assert len(drain(plan)) == 98
+            plan.close()
+        assert pulled == [400, 5]
+        # Two per tuple (group test, divisor step), one more to open group 1.
+        assert charged == [4 * 2 + 3] * 2
 
     def test_sort_final_merge_streams(self):
         """Footnote 2: runs are prepared at open; the final merge is

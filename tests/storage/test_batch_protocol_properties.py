@@ -445,15 +445,18 @@ def test_examples_reach_the_paths_they_pin():
         _observe(INNER_ENDS_MID_BATCH, "sort-agg with join", _drain_by_batches)
     assert filtered[-1][0] > 0 and filtered[-1][1]
 
-    batches = []
+    batches = []  # (the batch iterator being walked, its quotient keys)
     walk = NaiveDivision._walk
 
-    def recording_walk(self, rows):
-        batches.append({self._quotient_of(row) for row in rows})
-        return walk(self, rows)
+    def recording_walk(self):
+        if not batches or batches[-1][0] is not self._rows:
+            rows = list(self._rows)
+            self._rows = iter(rows)
+            batches.append((self._rows, {self._quotient_of(row) for row in rows}))
+        return walk(self)
 
     with mock.patch.object(NaiveDivision, "_walk", recording_walk):
         result = _observe(GROUPS_SPAN_STRETCHES, "naive", _drain_by_batches)
     assert result["rows"] == [(0,), (1,), (2,)]
     for group in result["rows"]:
-        assert sum(group in keys for keys in batches) >= 2
+        assert sum(group in keys for _, keys in batches) >= 2
