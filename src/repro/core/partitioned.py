@@ -40,8 +40,7 @@ from typing import Callable, Sequence
 from repro.errors import HashTableOverflowError, PartitioningError
 from repro.core.hash_division import HashDivision
 from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
-from repro.executor.materialize import TempFileScan
-from repro.executor.scan import RelationSource
+from repro.executor.scan import RelationSource, TempFileScan
 from repro.relalg.algebra import division_attribute_split
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, Schema

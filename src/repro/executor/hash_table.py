@@ -184,6 +184,12 @@ class ChainedHashTable:
         both the probe and the insert, which charges the chain element
         and the payload bytes to the memory pool.
 
+        No operator calls it: they go through
+        :meth:`find_or_insert_many`.  It stays as the key-at-a-time
+        reference that the batch kernels' property test
+        (``tests/executor/test_hash_table.py``) holds them to, and
+        ``perfbench`` times it under its own name.
+
         Raises:
             HashTableOverflowError: when the memory pool is exhausted.
         """

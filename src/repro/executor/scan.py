@@ -2,8 +2,9 @@
 
 :class:`StoredRelationScan` is the metered path -- it reads pages
 through the buffer pool, so cold scans incur sequential read I/O
-exactly as the paper's file scans did.  It and the temp-file scans of
-:mod:`repro.executor.materialize` are :class:`PageScan` operators.
+exactly as the paper's file scans did.  It and :class:`TempFileScan`,
+which reads back a temp file another operator wrote, are
+:class:`PageScan` operators.
 :class:`RelationSource` feeds an in-memory
 :class:`~repro.relalg.relation.Relation` into a plan with no I/O at
 all; it models an input arriving from an upstream operator in a
@@ -66,6 +67,37 @@ class StoredRelationScan(PageScan):
 
     def describe(self) -> str:
         return f"StoredRelationScan({self.stored.name})"
+
+
+class TempFileScan(PageScan):
+    """Scan an existing temp heap file, optionally destroying it after.
+
+    The partitioned-division driver writes partition files itself and
+    uses this operator to feed each phase.
+    """
+
+    def __init__(
+        self,
+        ctx: ExecContext,
+        file: HeapFile,
+        schema: Schema,
+        destroy_on_close: bool = False,
+    ) -> None:
+        super().__init__(ctx, schema)
+        self.file = file
+        self.destroy_on_close = destroy_on_close
+        self._codec = schema.codec()
+
+    def _open(self) -> None:
+        self._scan(self.file, self._codec)
+
+    def _close(self) -> None:
+        super()._close()
+        if self.destroy_on_close:
+            self.file.destroy()
+
+    def describe(self) -> str:
+        return f"TempFileScan({self.file.name})"
 
 
 class RelationSource(BufferedIterator):

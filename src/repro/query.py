@@ -263,8 +263,11 @@ class ContainsQuery:
     def plan(self) -> DivisionDecision:
         """Pick the division strategy without compiling the plan.
 
-        The statistics come from the planner's zero-cost streaming pass
-        over the logical plans.
+        The statistics come from the planner's streaming pass over the
+        logical plans.  The pass charges no CPU units but is metered:
+        it reads a stored input through the buffer pool like any scan,
+        so a cold stored dividend costs its page reads (see
+        :mod:`repro.plan.planner`).
         """
         return decide_division(self.logical_plan())
 

@@ -66,7 +66,7 @@ class StoredRelation:
         return self.file.scan_tuples(self.codec)
 
     def to_relation(self) -> Relation:
-        """Materialize the stored tuples back into a Relation."""
+        """Read the stored tuples back into an in-memory Relation."""
         return Relation(self.schema, self.scan_tuples(), name=self.name)
 
 

@@ -12,29 +12,20 @@ page access goes through the buffer pool; a scan fixes one page at a
 time and hands out record bytes.
 
 Writers and readers that need no record ids work a page at a time:
-:meth:`HeapFile.append_rows` takes as many rows as fit the last page,
-packs them with one ``struct`` call and fixes the page once to copy
-them in, and :meth:`HeapFile.scan_pages` decodes a whole page while it
-is fixed.
-
-Rows handed over as a ``list`` (sort runs, stored relations) are
-written a whole page at a time: packed once, sliced per page, and every
-page the list starts is built as a complete slotted-page image
+:meth:`HeapFile.append_rows` packs its rows with one ``struct`` call per
+256 rows, fixes the last page once to copy in the ones that fit, and
+builds every page the rows start as a complete slotted-page image
 (:func:`~repro.storage.page.fresh_page_image`) that one
 :meth:`~repro.storage.buffer.BufferPool.write_new_page` call installs,
 booking the fixes, evictions and write-backs of formatting the page and
-filling it.  The page is formatted and filled call by call instead
-when the two would differ: every other frame is fixed, so the formatted
-page evicts itself before it is filled; or a row is refused, or is too
-large for an empty page.  Other sources take their rows page by page
-as they are pulled, so a source that raises leaves the rows before it
-written.
+filling it.  When every other frame is fixed the formatted page evicts
+itself before it is filled, and it is filled by a fix instead.
+:meth:`HeapFile.scan_pages` decodes a whole page while it is fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import RecordNotFoundError, StorageError
@@ -48,8 +39,6 @@ if TYPE_CHECKING:
 #: Pages allocated per extent.  Eight pages balances contiguity against
 #: space waste for the paper's small divisor files.
 DEFAULT_EXTENT_PAGES = 8
-
-_END = object()
 
 
 def _fitting(free: int, size: int) -> int:
@@ -142,60 +131,55 @@ class HeapFile:
     def append_rows(self, rows: Iterable[tuple], codec: RecordCodec) -> int:
         """Append tuples a page at a time; returns how many.
 
-        Takes the rows that fit the last page, packs them with
-        :meth:`~repro.relalg.schema.RecordCodec.pack_rows` and fixes
-        the page once to copy them in; the next row starts a new page
-        (a whole page image, for a ``list``: see the module docstring).
-        Pages, record ids, buffer-pool misses, evictions and physical
-        I/O are those of calling :meth:`append` with
-        :meth:`~repro.relalg.schema.RecordCodec.encode` of each row, as
-        long as pulling a row fixes no pages (rows already in memory).
-        A source that reads pages as it goes should be appended per
-        record: batching it changes the LRU order of the pages.
+        Packs the rows with
+        :meth:`~repro.relalg.schema.RecordCodec.pack_rows`, fixes the
+        last page once to copy in the ones that fit, and writes each
+        further page as one page image (see the module docstring).  A
+        source that is not a ``list`` is pulled into one first.  Pages,
+        record ids, buffer-pool misses, evictions and physical I/O are
+        those of calling :meth:`append` with
+        :meth:`~repro.relalg.schema.RecordCodec.encode` of each row,
+        except while every other frame of the pool is fixed: each unfix
+        then evicts the last page itself, so :meth:`append`'s fits
+        probe at every page change reads the page back, where this call
+        probes once.  A source that fixes pages as it yields should be
+        appended per record: pulling it whole changes the LRU order of
+        its pages.
 
         When the source raises, or a row is refused (arity, type,
         over-width string), the rows before it are written and the
-        error propagates, as it would record by record.
+        error propagates, as it would record by record.  A record too
+        large for an empty page raises the page's
+        :class:`~repro.errors.PageError`.
         """
         self._check_live()
+        if not isinstance(rows, list):
+            pulled: list[tuple] = []
+            try:
+                pulled.extend(rows)
+            except BaseException:
+                self.append_rows(pulled, codec)
+                raise
+            rows = pulled
         size = codec.record_size
-        if isinstance(rows, list) and _fitting(self._blank_free, size):
+        if rows and not _fitting(self._blank_free, size):
+            # Too large for an empty page: raises the page's PageError
+            # (or encode's error, for a refused first row).
+            self.append(codec.encode(rows[0]))
+        try:
+            data = codec.pack_rows(rows)
+        except Exception:
+            # pack_rows does not say which row failed or always raise
+            # encode's error; encoding row by row finds both.
+            encoded: list[bytes] = []
             try:
-                data = codec.pack_rows(rows)
-            except Exception:
-                pass  # the loop below finds the refused row
-            else:
-                self._append_packed(memoryview(data), len(rows), size)
-                return len(rows)
-        rows = iter(rows)
-        count = 0
-        while True:
-            room = _fitting(self._tail_free, size) if self._pages else 0
-            chunk = []
-            if not room:
-                row = next(rows, _END)
-                if row is _END:
-                    return count
-                codec.encode(row)  # a refused row fixes no page
-                if self._pages and not count:
-                    # A last page this call has not written is still
-                    # fixed once, as append()'s fits probe fixes it.
-                    self._fill_tail(b"", 0)
-                self._start_page()
-                room = _fitting(self._tail_free, size)
-                if not room:
-                    # Too large for an empty page: raises the page's PageError.
-                    self._fill_tail(codec.encode(row), 1)
-                chunk.append(row)
-            try:
-                chunk.extend(islice(rows, room - len(chunk)))
+                for row in rows:
+                    encoded.append(codec.encode(row))
             finally:
-                # Also when the source fails: keep what it yielded
-                # before, as appending record by record would have.
-                self._write_rows(chunk, codec)
-            count += len(chunk)
-            if len(chunk) < room:
-                return count
+                self._append_packed(memoryview(b"".join(encoded)), len(encoded), size)
+            raise
+        self._append_packed(memoryview(data), len(rows), size)
+        return len(rows)
 
     def delete(self, rid: RecordId) -> None:
         """Delete the record at ``rid`` (tombstoned, space not reused)."""
@@ -334,14 +318,13 @@ class HeapFile:
 
     def _append_packed(self, data: memoryview, count: int, size: int) -> None:
         """Append ``count`` records of ``size`` bytes, packed back to
-        back in ``data``: the last page takes what fits, with the fixes
-        of the loop in :meth:`append_rows`, and the rest go to fresh
-        pages, one page image each."""
+        back in ``data``: the last page takes what fits under one fix,
+        and the rest go to fresh pages, one page image each."""
         done = 0
         if self._pages and count:
             done = min(count, _fitting(self._tail_free, size))
-            # With no room the last page is still fixed once, as the
-            # loop's probe fixes it.
+            # With no room the last page is still fixed once, as
+            # append()'s fits probe fixes it.
             self._fill_tail(data[: done * size], done)
         page_size, device = self.disk.page_size, self.disk.name
         per_page = _fitting(self._blank_free, size)
@@ -359,30 +342,6 @@ class HeapFile:
                 self._take_page(page_no, self._blank_free)
                 self._fill_tail(part, end - done)
             done = end
-
-    def _write_rows(self, chunk: list[tuple], codec: RecordCodec) -> None:
-        """Pack ``chunk`` (rows that fit the last page) into it.
-
-        If the codec refuses a row, the rows before it are written and
-        :meth:`~repro.relalg.schema.RecordCodec.encode`'s error for it
-        propagates.
-        """
-        if not chunk:
-            return
-        try:
-            data = codec.pack_rows(chunk)
-        except Exception:
-            # pack_rows does not say which row failed or always raise
-            # encode's error; encoding row by row finds both.
-            encoded: list[bytes] = []
-            try:
-                for row in chunk:
-                    encoded.append(codec.encode(row))
-            finally:
-                if encoded:
-                    self._fill_tail(b"".join(encoded), len(encoded))
-            raise
-        self._fill_tail(data, len(chunk))
 
     def _fill_tail(self, data: bytes, count: int) -> int:
         """Insert ``count`` equal-length records, packed back to back in

@@ -6,14 +6,14 @@ strategies.  A :class:`SecondaryIndex` maps key-attribute values to the
 record identifiers of a heap file; non-unique keys are handled by
 appending the RID to the key (the tree itself stays unique).
 
-Probing charges tree-descent comparisons to the context's counters;
-fetching the indexed rows goes through the buffer pool, so random
-record access is priced as random I/O when the page is cold.
+Probing charges tree-descent comparisons to the context's counters
+and reads no record: the index semi-join only asks whether a key
+exists.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import StorageError
 from repro.metering import CpuCounters
@@ -96,12 +96,6 @@ class SecondaryIndex:
         for _entry in self._tree.range(key + (_LOW,), key + (_HIGH,)):
             return True
         return False
-
-    def fetch(self, key: tuple) -> Iterator[Row]:
-        """Decode the rows matching ``key`` (random record access)."""
-        codec = self.stored.codec
-        for rid in self.probe(key):
-            yield codec.decode(self.stored.file.get(rid))
 
     def __repr__(self) -> str:
         return (

@@ -17,20 +17,15 @@ resources.  This module pins the contract for **every** operator class:
 import pytest
 
 from repro.errors import ExecutionError, HashTableOverflowError
-from repro.executor.aggregate import (
-    HashGroupCount,
-    ScalarCount,
-    SortedGroupCount,
-)
+from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 from repro.executor.distinct import HashDistinct
 from repro.executor.filter import Select
-from repro.executor.hash_join import HashJoin, HashSemiJoin
-from repro.executor.index_join import IndexJoin, IndexSemiJoin
+from repro.executor.hash_join import HashSemiJoin
+from repro.executor.index_join import IndexSemiJoin
 from repro.executor.iterator import ExecContext
-from repro.executor.materialize import Materialize
-from repro.executor.merge_join import MergeJoin, MergeSemiJoin
+from repro.executor.merge_join import MergeSemiJoin
 from repro.executor.project import Project
-from repro.executor.scan import RelationSource, StoredRelationScan
+from repro.executor.scan import RelationSource, StoredRelationScan, TempFileScan
 from repro.executor.sort import ExternalSort
 from repro.plan.physical import (
     DIVISION_OPERATOR_STRATEGIES,
@@ -53,6 +48,13 @@ def _stored(env, relation, name):
         return catalog.store(relation, name)
 
 
+def _temp_scan(env, relation):
+    ctx = env[0]
+    file = ctx.temp_file("temp")
+    file.append_rows(relation.rows, relation.schema.codec())
+    return TempFileScan(ctx, file, relation.schema, destroy_on_close=True)
+
+
 def _src(env, which):
     ctx, _, transcript, courses = env
     return RelationSource(ctx, transcript if which == "dividend" else courses)
@@ -65,7 +67,7 @@ BUILDERS = {
     ),
     "Select": lambda env: Select(_src(env, "dividend"), TruePredicate()),
     "Project": lambda env: Project(_src(env, "dividend"), ("student_id",)),
-    "Materialize": lambda env: Materialize(_src(env, "dividend")),
+    "TempFileScan": lambda env: _temp_scan(env, env[2]),
     "ExternalSort": lambda env: ExternalSort(
         _src(env, "dividend"), key_names=("student_id", "course_no")
     ),
@@ -73,7 +75,6 @@ BUILDERS = {
         _src(env, "dividend"), key_names=("course_no",), distinct=True
     ),
     "HashDistinct": lambda env: HashDistinct(_src(env, "dividend")),
-    "ScalarCount": lambda env: ScalarCount(_src(env, "divisor")),
     "SortedGroupCount": lambda env: SortedGroupCount(
         ExternalSort(_src(env, "dividend"), key_names=("student_id",)),
         ("student_id",),
@@ -81,25 +82,13 @@ BUILDERS = {
     "HashGroupCount": lambda env: HashGroupCount(
         _src(env, "dividend"), ("student_id",)
     ),
-    "HashJoin": lambda env: HashJoin(
-        _src(env, "dividend"), _src(env, "divisor"), ("course_no",)
-    ),
     "HashSemiJoin": lambda env: HashSemiJoin(
         _src(env, "dividend"), _src(env, "divisor"), ("course_no",)
-    ),
-    "MergeJoin": lambda env: MergeJoin(
-        ExternalSort(_src(env, "dividend"), key_names=("course_no",)),
-        ExternalSort(_src(env, "divisor"), key_names=("course_no",)),
-        ("course_no",),
     ),
     "MergeSemiJoin": lambda env: MergeSemiJoin(
         ExternalSort(_src(env, "dividend"), key_names=("course_no",)),
         ExternalSort(_src(env, "divisor"), key_names=("course_no",)),
         ("course_no",),
-    ),
-    "IndexJoin": lambda env: IndexJoin(
-        _src(env, "dividend"),
-        SecondaryIndex.build(_stored(env, env[3], "courses"), ["course_no"]),
     ),
     "IndexSemiJoin": lambda env: IndexSemiJoin(
         _src(env, "dividend"),

@@ -19,7 +19,7 @@ from repro.errors import SchemaError
 from repro.executor.aggregate import HashGroupCount
 from repro.executor.distinct import HashDistinct
 from repro.executor.filter import Select
-from repro.executor.hash_join import HashJoin, HashSemiJoin
+from repro.executor.hash_join import HashSemiJoin
 from repro.executor.iterator import ExecContext, QueryIterator, open_all
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort
@@ -154,14 +154,6 @@ class TestJoins:
         assert ctx.memory.bytes_in_use == 0
         assert_reopenable(build)
 
-    def test_hash_join_failed_probe_open_frees_build_table(self, ctx):
-        build = RelationSource(ctx, ints(("a",), [(1,)]))
-        probe = FailingOpen(ctx, Schema.of_ints("a", "b"))
-        join = HashJoin(probe, build, ("a",))
-        with pytest.raises(Boom):
-            join.open()
-        assert ctx.memory.bytes_in_use == 0
-
 
 class TestDivisionOperators:
     def test_hash_division_failed_dividend_open_releases_tables(self, ctx):
@@ -189,16 +181,15 @@ class TestFailedOpenUnderInjectedFaults:
 
     A failed ``open()`` leaves the operator CLOSED and ``close()`` is a
     silent no-op (the serving layer's unwind paths call it
-    unconditionally), and ``_close`` is never reached -- so spool and
-    run files written before the fault must be reclaimed by ``_open``
-    itself.
-    These tests inject permanent write faults on the temp and run
-    devices (tiny pages + a tiny buffer pool force eviction write-back
-    during the append) and assert the device ends with zero live pages.
+    unconditionally), and ``_close`` is never reached -- so run files
+    written before the fault must be reclaimed by ``_open`` itself.
+    These tests inject write faults on the run device (tiny pages + a
+    tiny buffer pool force eviction write-back during the append) and
+    assert the device ends with zero live pages.
     """
 
     @staticmethod
-    def _faulted_ctx(device: str) -> ExecContext:
+    def _faulted_ctx(max_fires: int | None = None) -> ExecContext:
         from repro.faults import FaultInjector, FaultRule
         from repro.storage.config import StorageConfig
 
@@ -212,33 +203,20 @@ class TestFailedOpenUnderInjectedFaults:
         )
         ctx.attach_fault_injector(
             FaultInjector(
-                [FaultRule("permanent", op="write", device=device)], seed=0
+                [
+                    FaultRule(
+                        "permanent", op="write", device="runs", max_fires=max_fires
+                    )
+                ],
+                seed=0,
             )
         )
         return ctx
 
-    def test_materialize_failed_spool_destroys_temp_file(self):
-        from repro.errors import DiskFaultError
-        from repro.executor.materialize import Materialize
-
-        ctx = self._faulted_ctx("temp")
-        rows = [(i, i % 7) for i in range(400)]
-        spool = Materialize(RelationSource(ctx, ints(("a", "b"), rows)))
-        with pytest.raises(DiskFaultError):
-            spool.open()
-        # The state machine stayed CLOSED: close() is an idempotent
-        # no-op after the failed attempt, not the cleanup path ...
-        spool.close()
-        # ... so _open itself must have reclaimed the partial spool.
-        assert spool._file is None
-        assert ctx.temp_disk.page_count == 0
-        assert ctx.pool.fixed_page_count() == 0
-        ctx.close()
-
     def test_sort_failed_spill_destroys_partial_runs(self):
         from repro.errors import DiskFaultError
 
-        ctx = self._faulted_ctx("runs")
+        ctx = self._faulted_ctx()
         capacity = ctx.config.sort_run_capacity_records(
             Schema.of_ints("a").codec().record_size
         )
@@ -258,35 +236,21 @@ class TestFailedOpenUnderInjectedFaults:
         """After a faulted open the operator is reopenable once the
         fault clears -- nothing about the failure is sticky."""
         from repro.errors import DiskFaultError
-        from repro.executor.materialize import Materialize
-        from repro.faults import FaultInjector, FaultRule
-        from repro.storage.config import StorageConfig
 
-        ctx = ExecContext(
-            config=StorageConfig(
-                page_size=512,
-                sort_run_page_size=256,
-                buffer_size=4 * 512,
-                sort_buffer_size=4 * 512,
-            )
+        ctx = self._faulted_ctx(max_fires=1)
+        capacity = ctx.config.sort_run_capacity_records(
+            Schema.of_ints("a", "b").codec().record_size
         )
-        ctx.attach_fault_injector(
-            FaultInjector(
-                [
-                    FaultRule(
-                        "permanent", op="write", device="temp", max_fires=1
-                    )
-                ],
-                seed=0,
-            )
+        rows = [(i, i) for i in reversed(range(capacity * 3))]
+        sort = ExternalSort(
+            RelationSource(ctx, ints(("a", "b"), rows)), key_names=("a",)
         )
-        rows = [(i, i) for i in range(400)]
-        spool = Materialize(RelationSource(ctx, ints(("a", "b"), rows)))
         with pytest.raises(DiskFaultError):
-            spool.open()
+            sort.open()
+        assert ctx.run_disk.page_count == 0
         # The rule is exhausted; the same operator opens cleanly now.
-        spool.open()
-        assert sum(1 for _ in spool) == len(rows)
-        spool.close()
-        assert ctx.temp_disk.page_count == 0
+        sort.open()
+        assert list(sort) == sorted(rows)
+        sort.close()
+        assert ctx.run_disk.page_count == 0
         ctx.close()

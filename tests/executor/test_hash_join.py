@@ -1,7 +1,7 @@
-"""Tests for hash join and hash semi-join."""
+"""Tests for the hash semi-join."""
 
 from repro.errors import HashTableOverflowError
-from repro.executor.hash_join import HashJoin, HashSemiJoin
+from repro.executor.hash_join import HashSemiJoin
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -50,48 +50,3 @@ class TestHashSemiJoin:
         plan = HashSemiJoin(probe, build, ["k"])
         with pytest.raises(HashTableOverflowError):
             run_to_relation(plan)
-
-
-class TestHashJoin:
-    def test_basic_join(self, ctx):
-        probe = source(ctx, ("k", "a"), [(1, 10), (2, 20)])
-        build = source(ctx, ("k", "b"), [(1, 100), (1, 101), (3, 300)])
-        result = run_to_relation(HashJoin(probe, build, ["k"]))
-        assert sorted(result.rows) == [(1, 10, 100), (1, 10, 101)]
-        assert result.schema.names == ("k", "a", "b")
-
-    def test_join_on_all_build_attributes(self, ctx):
-        probe = source(ctx, ("k", "a"), [(1, 10), (2, 20)])
-        build = source(ctx, ("k",), [(1,)])
-        result = run_to_relation(HashJoin(probe, build, ["k"]))
-        assert result.rows == [(1, 10)]
-        assert result.schema.names == ("k", "a")
-
-    def test_m_to_n_multiplicity(self, ctx):
-        probe = source(ctx, ("k", "a"), [(1, 0), (1, 1)])
-        build = source(ctx, ("k", "b"), [(1, 0), (1, 1), (1, 2)])
-        assert len(run_to_relation(HashJoin(probe, build, ["k"]))) == 6
-
-    def test_agrees_with_merge_join(self, ctx):
-        import random
-
-        rng = random.Random(5)
-        probe_rows = [(rng.randrange(8), i) for i in range(50)]
-        build_rows = [(rng.randrange(8), i + 100) for i in range(30)]
-        hash_result = run_to_relation(
-            HashJoin(
-                source(ctx, ("k", "a"), probe_rows),
-                source(ctx, ("k", "b"), build_rows),
-                ["k"],
-            )
-        )
-        from repro.executor.merge_join import MergeJoin
-
-        merge_result = run_to_relation(
-            MergeJoin(
-                source(ctx, ("k", "a"), sorted(probe_rows)),
-                source(ctx, ("k", "b"), sorted(build_rows)),
-                ["k"],
-            )
-        )
-        assert hash_result.as_bag() == merge_result.as_bag()

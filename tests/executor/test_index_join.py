@@ -1,9 +1,9 @@
-"""Tests for index join and index semi-join."""
+"""Tests for the index semi-join."""
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.executor.index_join import IndexJoin, IndexSemiJoin
+from repro.executor.index_join import IndexSemiJoin
 from repro.executor.iterator import run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -61,50 +61,3 @@ class TestIndexSemiJoin:
             )
         )
         assert via_index.bag_equal(via_hash)
-
-
-class TestIndexJoin:
-    def test_fetches_inner_attributes(self, ctx, catalog):
-        inner = Relation.of_ints(("k", "payload"), [(1, 100), (2, 200)], name="inner")
-        stored = catalog.store(inner)
-        index = SecondaryIndex.build(stored, ["k"])
-        outer = Relation.of_ints(("k", "a"), [(1, 10), (3, 30)])
-        plan = IndexJoin(RelationSource(ctx, outer), index)
-        result = run_to_relation(plan)
-        assert result.rows == [(1, 10, 100)]
-        assert result.schema.names == ("k", "a", "payload")
-
-    def test_one_to_many(self, ctx, catalog):
-        inner = Relation.of_ints(("k", "p"), [(1, 0), (1, 1), (1, 2)], name="inner")
-        stored = catalog.store(inner)
-        index = SecondaryIndex.build(stored, ["k"])
-        outer = Relation.of_ints(("k",), [(1,)])
-        plan = IndexJoin(RelationSource(ctx, outer), index)
-        assert len(run_to_relation(plan)) == 3
-
-    def test_join_on_full_inner_schema(self, ctx, catalog):
-        inner = Relation.of_ints(("k",), [(1,), (2,)], name="inner")
-        stored = catalog.store(inner)
-        index = SecondaryIndex.build(stored, ["k"])
-        outer = Relation.of_ints(("k", "a"), [(2, 20)])
-        result = run_to_relation(IndexJoin(RelationSource(ctx, outer), index))
-        assert result.rows == [(2, 20)]
-        assert result.schema.names == ("k", "a")
-
-    def test_random_fetches_can_cost_random_io(self, ctx, catalog):
-        # A big cold inner + scattered probes: record fetches miss the
-        # buffer and pay (random) reads.
-        inner = Relation.of_ints(
-            ("k", "p"), [(i, i) for i in range(20_000)], name="inner"
-        )
-        stored = catalog.store(inner, cold=True)
-        index = SecondaryIndex.build(stored, ["k"])
-        ctx.io_stats.reset()
-        # Index build scanned the file; drop the buffered pages again.
-        ctx.pool.drop_device_pages("data")
-        ctx.io_stats.reset()
-        outer = Relation.of_ints(("k",), [(i * 977 % 20_000,) for i in range(50)])
-        run_to_relation(IndexJoin(RelationSource(ctx, outer), index))
-        counters = ctx.io_stats.counters("data")
-        assert counters.reads > 0
-        assert counters.seeks > counters.reads // 2  # scattered = seeky

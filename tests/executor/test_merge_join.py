@@ -1,10 +1,10 @@
-"""Tests for merge join and merge semi-join."""
+"""Tests for the merge semi-join."""
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.executor.iterator import ExecContext, run_to_relation
-from repro.executor.merge_join import MergeJoin, MergeSemiJoin
+from repro.executor.merge_join import MergeSemiJoin
 from repro.executor.project import Project
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -12,40 +12,6 @@ from repro.relalg.relation import Relation
 
 def sorted_source(ctx, names, rows):
     return RelationSource(ctx, Relation.of_ints(names, sorted(rows)))
-
-
-class TestMergeJoin:
-    def test_basic_join(self, ctx):
-        outer = sorted_source(ctx, ("k", "a"), [(1, 10), (2, 20), (3, 30)])
-        inner = sorted_source(ctx, ("k", "b"), [(2, 200), (3, 300), (4, 400)])
-        result = run_to_relation(MergeJoin(outer, inner, ["k"]))
-        assert sorted(result.rows) == [(2, 20, 200), (3, 30, 300)]
-        assert result.schema.names == ("k", "a", "b")
-
-    def test_inner_group_buffered_for_outer_duplicates(self, ctx):
-        outer = sorted_source(ctx, ("k", "a"), [(1, 10), (1, 11)])
-        inner = sorted_source(ctx, ("k", "b"), [(1, 100), (1, 101)])
-        result = run_to_relation(MergeJoin(outer, inner, ["k"]))
-        assert len(result) == 4
-
-    def test_disjoint_inputs(self, ctx):
-        outer = sorted_source(ctx, ("k", "a"), [(1, 0)])
-        inner = sorted_source(ctx, ("k", "b"), [(2, 0)])
-        assert run_to_relation(MergeJoin(outer, inner, ["k"])).rows == []
-
-    def test_join_on_all_inner_attributes(self, ctx):
-        outer = sorted_source(ctx, ("k", "a"), [(1, 10), (2, 20)])
-        inner = sorted_source(ctx, ("k",), [(2,)])
-        result = run_to_relation(MergeJoin(outer, inner, ["k"]))
-        assert result.rows == [(2, 20)]
-        assert result.schema.names == ("k", "a")
-
-    def test_contexts_must_match(self, ctx):
-        other = ExecContext()
-        outer = sorted_source(ctx, ("k",), [])
-        inner = sorted_source(other, ("k",), [])
-        with pytest.raises(ExecutionError):
-            MergeJoin(outer, inner, ["k"])
 
 
 class TestMergeSemiJoin:
@@ -76,6 +42,12 @@ class TestMergeSemiJoin:
         outer = Project(sorted_source(ctx, ("k", "a"), [(1, 10)]), ["k"])
         inner = sorted_source(ctx, ("k",), [(1,)])
         with pytest.raises(ExecutionError, match="give rows back, not Project"):
+            MergeSemiJoin(outer, inner, ["k"])
+
+    def test_contexts_must_match(self, ctx):
+        outer = sorted_source(ctx, ("k",), [])
+        inner = sorted_source(ExecContext(), ("k",), [])
+        with pytest.raises(ExecutionError, match="share one execution context"):
             MergeSemiJoin(outer, inner, ["k"])
 
     def test_paper_semi_join_shape(self, ctx, transcript, courses):

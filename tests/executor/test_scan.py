@@ -1,7 +1,7 @@
 """Tests for scan operators."""
 
 from repro.executor.iterator import run_to_relation
-from repro.executor.scan import RelationSource, StoredRelationScan
+from repro.executor.scan import RelationSource, StoredRelationScan, TempFileScan
 from repro.relalg.relation import Relation
 
 
@@ -49,3 +49,24 @@ class TestStoredRelationScan:
         first = run_to_relation(scan)
         second = run_to_relation(scan)
         assert first.bag_equal(second)
+
+
+class TestTempFileScan:
+    def test_scans_prewritten_file(self, ctx):
+        schema = Relation.of_ints(("a",), []).schema
+        codec = schema.codec()
+        file = ctx.temp_file("temp")
+        file.append_rows(((i,) for i in range(5)), codec)
+        plan = TempFileScan(ctx, file, schema)
+        assert run_to_relation(plan).rows == [(i,) for i in range(5)]
+        # Not destroyed: scan again.
+        plan2 = TempFileScan(ctx, file, schema, destroy_on_close=True)
+        assert run_to_relation(plan2).rows == [(i,) for i in range(5)]
+        assert ctx.temp_disk.page_count == 0
+
+    def test_destroy_on_close(self, ctx):
+        schema = Relation.of_ints(("a",), []).schema
+        file = ctx.temp_file("temp")
+        file.append(schema.codec().encode((1,)))
+        run_to_relation(TempFileScan(ctx, file, schema, destroy_on_close=True))
+        assert ctx.temp_disk.page_count == 0

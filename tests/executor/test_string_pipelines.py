@@ -3,15 +3,14 @@ operator.
 
 Most executor tests use all-integer schemas (the paper's experimental
 records); these make sure the codec-backed paths -- sort runs,
-materialization, partition spooling -- survive fixed-width string
+temp-file spools, partition spooling -- survive fixed-width string
 attributes, which the Figure 2 relations actually use.
 """
 
 from repro.core.hash_division import HashDivision
 from repro.core.partitioned import quotient_partitioned_division
 from repro.executor.iterator import ExecContext, run_to_relation
-from repro.executor.materialize import Materialize
-from repro.executor.scan import RelationSource
+from repro.executor.scan import RelationSource, TempFileScan
 from repro.executor.sort import ExternalSort
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, DataType, Schema
@@ -79,8 +78,13 @@ class TestStringSort:
 class TestStringMaterializeAndPartition:
     def test_materialize_roundtrips_strings(self, ctx):
         relation = enrollment(complete=4)
-        result = run_to_relation(Materialize(RelationSource(ctx, relation)))
-        assert result.bag_equal(relation)
+        file = ctx.temp_file("temp")
+        codec = relation.schema.codec()
+        for row in relation:
+            file.append(codec.encode(row))
+        scan = TempFileScan(ctx, file, relation.schema, destroy_on_close=True)
+        assert run_to_relation(scan).rows == relation.rows
+        assert ctx.temp_disk.page_count == 0
 
     def test_partitioned_division_with_string_keys(self, ctx):
         dividend = enrollment(complete=3)

@@ -32,11 +32,6 @@ class TestBuildAndProbe:
         assert index.contains((99,))
         assert not index.contains((0,))
 
-    def test_fetch_decodes_rows(self, stored_transcript):
-        index = SecondaryIndex.build(stored_transcript, ["student_id"])
-        rows = sorted(index.fetch((4,)))
-        assert rows == [(4, 10), (4, 11), (4, 99)]
-
     def test_composite_key(self, stored_transcript):
         index = SecondaryIndex.build(
             stored_transcript, ["student_id", "course_no"]

@@ -1,8 +1,8 @@
 """The page-at-a-time record path equals the record-at-a-time one.
 
 :meth:`HeapFile.append_rows` packs the rows that fit the last page with
-one ``struct`` call and fixes the page once, builds each page a list of
-rows starts as one page image installed by
+one ``struct`` call and fixes the page once, builds each page the rows
+start as one page image installed by
 :meth:`BufferPool.write_new_page`, and :meth:`HeapFile.scan_tuples`
 decodes a whole page while it is fixed.  Against :meth:`HeapFile.append`
 of :meth:`RecordCodec.encode` per row and :meth:`HeapFile.scan` plus
@@ -17,9 +17,9 @@ injected disk faults, the same outcomes and the same fault schedule.
 Files sit on the data device or the run device, with the chaos config's
 512/256-byte pages or the default 8 KB data and 1 KB run pages, in a
 four-frame pool.  Some inserts run while every frame of another file is
-fixed, so each fresh page evicts itself before it is filled; there the
-page images are held to appending a stream, since record by record
-differs already (see :func:`_equal_paths`).
+fixed, so each fresh page evicts itself before it is filled; there
+record by record differs (see :func:`_equal_paths`), and a list is held
+to a stream and to its contents only.
 """
 
 from __future__ import annotations
@@ -32,25 +32,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import PageError, ReproError
-from repro.executor.iterator import ExecContext, run_to_relation
-from repro.executor.materialize import Materialize
-from repro.executor.project import Project
-from repro.executor.scan import StoredRelationScan
+from repro.executor.iterator import ExecContext
 from repro.faults.chaos import CHAOS_CONFIG, default_chaos_rules
 from repro.faults.injector import FaultInjector, FaultRule, schedule_to_jsonl
 from repro.obs.iotrace import IoEventLog
-from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, DataType, Schema
 from repro.storage.buffer import BufferPool
-from repro.storage.catalog import Catalog
 from repro.storage.config import KIB, StorageConfig
 from repro.storage.heapfile import HeapFile, RecordId
 from repro.storage.page import SlottedPage
 
 INT_SCHEMA = Schema.of_ints("a", "b")
 STRING_SCHEMA = Schema((Attribute("a"), Attribute("name", DataType.STRING, 11)))
-#: 64-byte rows; projected onto ``a`` they shrink to 8 bytes.
-WIDE_SCHEMA = Schema((Attribute("a"), Attribute("pad", DataType.STRING, 56)))
 #: Records no 512-byte chaos page can hold.
 OVERSIZED_SCHEMA = Schema(
     (Attribute("a"), Attribute("blob", DataType.STRING, CHAOS_CONFIG.page_size))
@@ -272,9 +265,9 @@ def _per_record(observed):
 
 def _equal_paths(workload, rules=(), fault_seed=0, observe=False):
     """Runs the workload every way, asserts they agree, and returns the
-    observables of appending lists.  Appending a list (page images) and
-    a stream (fix, format, fix and fill) must agree on everything,
-    fixes and observer events included."""
+    observables of appending lists.  Appending a list and a stream
+    (pulled into a list first) must agree on everything, fixes and
+    observer events included."""
     listed = run(workload, "list", rules, fault_seed, observe)
     streamed = run(workload, "stream", rules, fault_seed, observe)
     assert listed == streamed
@@ -451,8 +444,9 @@ def test_eviction_fault_after_a_cold_tail_fix():
 
 
 class TestPageImageFallbacks:
-    """Each case where a list's fresh page is not installed whole, by
-    one write_new_page call, and is still written as a stream is."""
+    """Each case where a fresh page is not installed whole by one
+    write_new_page call, and the rows before a refused or oversized
+    row."""
 
     @staticmethod
     def _spy(calls):
@@ -498,26 +492,29 @@ class TestPageImageFallbacks:
         assert (True, True) in calls
 
     @pytest.mark.parametrize(
-        "schema,steps",
+        "schema,steps,packed",
         [
-            # A refused row: the list is written as a stream.
-            (INT_SCHEMA, [("insert", [(i, i) for i in range(40)] + [NOT_AN_INT], 1)]),
-            # A record too large for an empty page.
-            (OVERSIZED_SCHEMA, [("insert", [(1, "x")], 1)]),
+            # A refused row: the rows before it are packed.
+            (INT_SCHEMA, [("insert", [(i, i) for i in range(40)] + [NOT_AN_INT], 1)], [40]),
+            # A record too large for an empty page goes in by append().
+            (OVERSIZED_SCHEMA, [("insert", [(1, "x")], 1)], []),
         ],
         ids=["refused-row", "oversized"],
     )
-    def test_lists_written_as_streams(self, schema, steps):
+    def test_rows_before_a_failing_row(self, schema, steps, packed):
         written = []
         append_packed = HeapFile._append_packed
 
-        def spy(heap, *args):
-            written.append(heap.name)
-            return append_packed(heap, *args)
+        def spy(heap, data, count, size):
+            if heap.name == "heap":
+                written.append(count)
+            return append_packed(heap, data, count, size)
 
         with mock.patch.object(HeapFile, "_append_packed", spy):
-            _equal_paths(("chaos", "data", schema, steps, None))
-        assert "heap" not in written
+            observed = run(("chaos", "data", schema, steps, None), "list")
+        assert written == packed
+        assert observed["record_count"] == sum(packed)
+        _equal_paths(("chaos", "data", schema, steps, None))
 
 
 class TestUnpackRecords:
@@ -588,49 +585,3 @@ class TestInsertPacked:
             one.insert(record)
         SlottedPage.format(many_buf).insert_packed(b"".join(records), len(records))
         assert one_buf == many_buf
-
-
-def _spool_io(spool):
-    """Model I/O of spooling a projecting scan in a three-frame pool."""
-    config = StorageConfig(
-        page_size=512, sort_run_page_size=256, buffer_size=3 * 512,
-        memory_limit=16 * 512, sort_buffer_size=2 * 512,
-    )
-    ctx = ExecContext(config=config)
-    try:
-        catalog = Catalog(ctx.pool, ctx.data_disk)
-        catalog.store(Relation(WIDE_SCHEMA, [(i, f"p{i}") for i in range(300)], name="w"))
-        source = Project(StoredRelationScan(ctx, catalog.get("w")), ["a"])
-        rows = spool(ctx, source)
-        return rows, ctx.io_cost_ms(), ctx.io_stats.totals().transfers
-    finally:
-        ctx.close()
-
-
-def _per_record_spool(ctx, source):
-    file = ctx.temp_file("temp")
-    codec = source.schema.codec()
-    source.open()
-    for row in source:
-        file.append(codec.encode(row))
-    source.close()
-    return list(file.scan_tuples(codec))
-
-
-def _batched_spool(ctx, source):
-    file = ctx.temp_file("temp")
-    codec = source.schema.codec()
-    source.open()
-    file.append_rows(source, codec)
-    source.close()
-    return list(file.scan_tuples(codec))
-
-
-def test_materialize_spools_record_at_a_time():
-    """A source that fixes pages while the spool is written must not be
-    batched: the spool's page would age in the LRU list between fixes
-    and a small pool would evict and re-read it."""
-    materialized = _spool_io(lambda ctx, source: list(run_to_relation(Materialize(source))))
-    assert materialized == _spool_io(_per_record_spool)
-    batched = _spool_io(_batched_spool)
-    assert batched[0] == materialized[0] and batched[1] > materialized[1]
