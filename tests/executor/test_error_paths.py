@@ -189,7 +189,7 @@ class TestFailedOpenUnderInjectedFaults:
     """
 
     @staticmethod
-    def _faulted_ctx(max_fires: int | None = None) -> ExecContext:
+    def _faulted_ctx(max_fires: int | None = None, device: str = "runs") -> ExecContext:
         from repro.faults import FaultInjector, FaultRule
         from repro.storage.config import StorageConfig
 
@@ -205,7 +205,7 @@ class TestFailedOpenUnderInjectedFaults:
             FaultInjector(
                 [
                     FaultRule(
-                        "permanent", op="write", device="runs", max_fires=max_fires
+                        "permanent", op="write", device=device, max_fires=max_fires
                     )
                 ],
                 seed=0,
@@ -229,6 +229,26 @@ class TestFailedOpenUnderInjectedFaults:
         sort.close()  # idempotent no-op after the failed attempt
         assert sort._runs == []
         assert ctx.run_disk.page_count == 0
+        assert ctx.pool.fixed_page_count() == 0
+        ctx.close()
+
+    @pytest.mark.parametrize("hybrid", [False, True], ids=["spooled", "hybrid"])
+    def test_partition_spool_fault_destroys_temp_files(self, hybrid):
+        """A temp-device write fault while the dividend is spooled to
+        its cluster files leaves no temp page allocated or fixed."""
+        from repro.core.partitioned import quotient_partitioned_division
+        from repro.errors import DiskFaultError
+
+        ctx = self._faulted_ctx(device="temp")
+        rows = [(q, d) for q in range(200) for d in range(3)]
+        with pytest.raises(DiskFaultError):
+            quotient_partitioned_division(
+                RelationSource(ctx, ints(("q", "d"), rows)),
+                RelationSource(ctx, ints(("d",), [(d,) for d in range(3)])),
+                partitions=3,
+                hybrid=hybrid,
+            )
+        assert ctx.temp_disk.page_count == 0
         assert ctx.pool.fixed_page_count() == 0
         ctx.close()
 

@@ -70,3 +70,23 @@ class TestTempFileScan:
         file.append(schema.codec().encode((1,)))
         run_to_relation(TempFileScan(ctx, file, schema, destroy_on_close=True))
         assert ctx.temp_disk.page_count == 0
+
+    def test_multi_page_spool_round_trips_and_is_released(self, ctx):
+        relation = Relation.of_ints(("a", "b"), [(i, -i) for i in range(2000)])
+        file = ctx.temp_file("temp")
+        codec = relation.schema.codec()
+        for row in relation:
+            file.append(codec.encode(row))
+        assert file.page_count > 1
+        scan = TempFileScan(ctx, file, relation.schema, destroy_on_close=True)
+        assert run_to_relation(scan).rows == relation.rows
+        assert ctx.temp_disk.page_count == 0
+
+    def test_small_spool_stays_in_buffer(self, ctx):
+        # One page, written and read entirely inside the pool.
+        schema = Relation.of_ints(("a", "b"), []).schema
+        file = ctx.temp_file("temp")
+        file.append(schema.codec().encode((1, 1)))
+        run_to_relation(TempFileScan(ctx, file, schema, destroy_on_close=True))
+        counters = ctx.io_stats.counters("temp")
+        assert (counters.reads, counters.writes) == (0, 0)
