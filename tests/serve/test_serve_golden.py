@@ -4,9 +4,10 @@ The serve report times every request on the scheduler's virtual clock
 (Table 3 I/O milliseconds per step plus the dispatch quantum), so it
 carries no wall-clock field and is pinned whole.  Any change to which
 pages an operator fixes, or on which ``next()`` call, moves a latency
-or the interleaving digest here.  Two configurations: the default one,
-and a 4,000-byte memory budget whose hash tables overflow so every
-query takes the partitioned fallback.
+or the interleaving digest here.  Three configurations: the default
+one; a 4,000-byte memory budget whose hash tables overflow so every
+query takes the partitioned fallback; and a cold run with both caches
+off, where every request steps a compiled operator tree.
 
 To re-record after a deliberate model change::
 
@@ -33,6 +34,10 @@ CONFIGS = {
     "fallback": [
         "--memory-budget", "4000", "--divisor", "30", "--quotient", "80",
         "--no-plan-cache", "--no-result-cache",
+    ],
+    "cold": [
+        "--divisor", "30", "--quotient", "80", "--clients", "4",
+        "--requests", "25", "--no-plan-cache", "--no-result-cache",
     ],
 }
 
@@ -62,6 +67,7 @@ def test_report_matches_golden(golden, config):
 def test_fallback_config_takes_the_fallback(golden):
     assert golden["fallback"]["fallbacks"] > 0
     assert golden["default"]["fallbacks"] == 0
+    assert golden["cold"]["fallbacks"] == 0
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
