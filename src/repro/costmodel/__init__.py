@@ -13,7 +13,6 @@
 from repro.costmodel.advisor import (
     DivisionEstimates,
     RankedStrategy,
-    choose_strategy,
     rank_strategies,
 )
 from repro.costmodel.units import CostUnits
@@ -32,7 +31,6 @@ __all__ = [
     "CostUnits",
     "DivisionEstimates",
     "RankedStrategy",
-    "choose_strategy",
     "rank_strategies",
     "CostBreakdown",
     "DivisionScenario",

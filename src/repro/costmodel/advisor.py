@@ -175,53 +175,16 @@ def rank_strategies(
     return ranked
 
 
-def choose_strategy(
-    estimates: DivisionEstimates,
-    units: CostUnits = PAPER_UNITS,
-) -> RankedStrategy:
-    """The cheapest semantically correct strategy."""
-    return rank_strategies(estimates, units)[0]
-
-
-@dataclass(frozen=True)
-class AdvisorChoice:
-    """The advisor's plan-time verdict: winner plus full ranking.
-
-    This is the interface the planner (:mod:`repro.plan.planner`)
-    consumes: :attr:`strategy` names the physical operator tree to
-    compile, and :attr:`ranking` keeps every applicable alternative
-    with its price so ``explain()`` can show what was rejected and why.
-    """
-
-    strategy: str
-    estimated_ms: float
-    note: str
-    ranking: tuple[RankedStrategy, ...]
-
-    @property
-    def winner(self) -> RankedStrategy:
-        """The ranked entry the choice was taken from."""
-        return self.ranking[0]
-
-
 def advise(
     estimates: DivisionEstimates,
     units: CostUnits = PAPER_UNITS,
-) -> AdvisorChoice:
-    """Plan-time entry point: rank everything, return the full verdict.
+) -> tuple[RankedStrategy, ...]:
+    """Plan-time entry point: the whole ranked field, winner first.
 
-    Equivalent to :func:`choose_strategy` but returns the whole ranked
-    field alongside the winner, so a planner consults the advisor once
-    per division and still has everything needed for plan display.
+    A planner consults the advisor once per division and keeps the
+    ranking, so plan display can show the rejected alternatives too.
     """
-    ranking = tuple(rank_strategies(estimates, units))
-    winner = ranking[0]
-    return AdvisorChoice(
-        strategy=winner.strategy,
-        estimated_ms=winner.estimated_ms,
-        note=winner.note,
-        ranking=ranking,
-    )
+    return tuple(rank_strategies(estimates, units))
 
 
 def _scenario(

@@ -342,7 +342,7 @@ class QueryProfile:
             "planner": [
                 {
                     "strategy": decision.strategy,
-                    "estimated_ms": decision.choice.estimated_ms,
+                    "estimated_ms": decision.estimated_ms,
                     "quotient": list(decision.quotient_names),
                 }
                 for decision in self.decisions

@@ -10,17 +10,20 @@ Table 4 grid, and :func:`repro.divide` over in-memory relations -- one
 factory, one strategy vocabulary.
 
 :class:`PhysicalPlan` wraps a compiled operator tree with the planner's
-decisions, uniform EXPLAIN rendering, and a memory-overflow fallback:
-when a single-phase hash table exceeds the context's memory budget, the
-plan re-runs through the Section 3.4 partitioned hash-division
-machinery instead of failing, re-opening the same (re-openable) input
-subtrees.
+decisions, uniform EXPLAIN rendering, and one stepping generator,
+:meth:`PhysicalPlan.steps`, that also owns the memory-overflow
+fallback: when a single-phase hash table exceeds the context's memory
+budget, the plan re-runs through the Section 3.4 partitioned
+hash-division machinery instead of failing, re-opening the same
+(re-openable) input subtrees.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Generator
 
 from repro.errors import DivisionError, ExecutionError, HashTableOverflowError
 from repro.core.aggregate_division import (
@@ -31,7 +34,7 @@ from repro.core.hash_division import HashDivision
 from repro.core.naive_division import NaiveDivision
 from repro.core.partitioned import hash_division_with_overflow
 from repro.costmodel.scenarios import TABLE2_COLUMNS
-from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
+from repro.executor.iterator import ExecContext, QueryIterator
 from repro.executor.sort import ExternalSort
 from repro.plan.operators import MaterializedDivision
 from repro.relalg.algebra import division_attribute_split
@@ -140,6 +143,8 @@ class PhysicalPlan:
             subtree (below any strategy-specific sorts/joins) -- the
             hook the overflow fallback re-opens.
         divisor_input: Likewise for the divisor input subtree.
+        fell_back: Whether the last :meth:`steps` run degraded to
+            :meth:`overflow_fallback`.
     """
 
     root: QueryIterator
@@ -148,36 +153,74 @@ class PhysicalPlan:
     decisions: list["DivisionDecision"] = field(default_factory=list)
     dividend_input: QueryIterator | None = None
     divisor_input: QueryIterator | None = None
+    fell_back: bool = field(default=False, init=False)
 
     @property
     def schema(self):
         return self.root.schema
 
     def execute(self, name: str = "") -> Relation:
-        """Open-drain-close the pipeline; returns the result relation.
+        """Run :meth:`steps` as one stretch; returns the result relation."""
+        run = self.steps(sys.maxsize, name)
+        try:
+            while True:
+                next(run)
+        except StopIteration as done:
+            return done.value
+
+    def steps(self, rows_per_step: int, name: str) -> Generator[float, None, Relation]:
+        """Run the plan a stretch at a time; returns the result relation.
+
+        Yields the Table 3 I/O-meter delta of ``open()`` (stop-and-go
+        phases such as sorts and hash builds finish there), then of
+        each stretch of ``rows_per_step`` result tuples.  Rows are
+        pulled batch by batch, and each batch exactly where row-at-a-time
+        ``next()`` would pull it, so every stretch books the same I/O.
 
         A :class:`~repro.errors.HashTableOverflowError` under a tight
-        memory budget does not fail the query: the plan falls back to
-        adaptive partitioned hash-division (Section 3.4) over the same
-        input subtrees, which spools partitions to temporary files
-        instead of holding everything in memory.  Hash-division is
-        duplicate-immune and handles the empty divisor, so the fallback
-        is correct whichever strategy overflowed.
+        memory budget does not fail the query: the root is closed,
+        :attr:`fell_back` is set, and :meth:`overflow_fallback` runs as
+        one more stretch over the same input subtrees.  Hash-division
+        is duplicate-immune and handles the empty divisor, so the
+        fallback is correct whichever strategy overflowed.  The root is
+        closed however the generator ends, so an error thrown in at any
+        yield (a cancellation, a deadline) leaks nothing.
         """
+        ctx, root = self.ctx, self.root
+        self.fell_back = False
         try:
-            return run_to_relation(self.root, name=name)
-        except HashTableOverflowError:
-            if self.dividend_input is None or self.divisor_input is None:
-                raise
-            return self.overflow_fallback(name)
+            try:
+                io_before = ctx.io_cost_ms()
+                root.open()
+                yield ctx.io_cost_ms() - io_before
+                rows: list = []
+                pull = chain.from_iterable(iter(root.next_batch, []))
+                while True:
+                    io_before = ctx.io_cost_ms()
+                    before = len(rows)
+                    rows.extend(islice(pull, rows_per_step))
+                    yield ctx.io_cost_ms() - io_before
+                    if len(rows) - before < rows_per_step:
+                        break
+            except HashTableOverflowError:
+                if self.dividend_input is None or self.divisor_input is None:
+                    raise
+                self.fell_back = True
+                root.close()
+                io_before = ctx.io_cost_ms()
+                result = self.overflow_fallback(name)
+                yield ctx.io_cost_ms() - io_before
+                return result
+        finally:
+            root.close()
+        return Relation(root.schema, rows, name=name)
 
     def overflow_fallback(self, name: str) -> Relation:
         """Run the plan as Section 3.4 partitioned hash-division.
 
         Re-opens the plan's own dividend and divisor input subtrees, so
-        the caller must have closed :attr:`root` first.  Used by
-        :meth:`execute` and by :mod:`repro.serve`, which steps
-        :attr:`root` itself and degrades here on overflow.
+        the caller must have closed :attr:`root` first, as
+        :meth:`steps` does on overflow.
         """
         tracer = self.ctx.tracer
         if tracer.enabled:

@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 from repro.errors import ExecutionError
-from repro.costmodel.advisor import AdvisorChoice, DivisionEstimates, advise
+from repro.costmodel.advisor import DivisionEstimates, RankedStrategy, advise
 from repro.costmodel.units import CostUnits, PAPER_UNITS
 from repro.executor.distinct import HashDistinct
 from repro.executor.filter import Select
@@ -55,27 +55,40 @@ class DivisionDecision:
     """The planner's record of one division-algorithm choice.
 
     Attributes:
-        strategy: The advisor strategy name that won.
         estimates: The statistics the advisor priced.
         quotient_names: The result attributes of the division.
-        choice: The full advisor verdict, including the ranking of
-            every applicable strategy -- kept so ``explain()`` can show
-            the alternatives, not just the winner.
-        eliminate_duplicates: Whether the compiled counting strategy
-            carries explicit duplicate-elimination preprocessing.
+        ranking: Every applicable strategy with its price, cheapest
+            (the winner) first -- kept so ``explain()`` can show the
+            alternatives, not just the winner.
     """
 
-    strategy: str
     estimates: DivisionEstimates
     quotient_names: tuple[str, ...]
-    choice: AdvisorChoice
-    eliminate_duplicates: bool = False
+    ranking: tuple[RankedStrategy, ...]
+
+    @property
+    def strategy(self) -> str:
+        """The advisor strategy name that won."""
+        return self.ranking[0].strategy
+
+    @property
+    def estimated_ms(self) -> float:
+        """The winner's estimated cost in model ms."""
+        return self.ranking[0].estimated_ms
+
+    @property
+    def eliminate_duplicates(self) -> bool:
+        """Whether the compiled counting strategy carries explicit
+        duplicate-elimination preprocessing (the paper's footnote 1)."""
+        return self.estimates.may_contain_duplicates and self.strategy.startswith(
+            ("sort-agg", "hash-agg")
+        )
 
     def render(self) -> str:
         """Multi-line decision summary for plan display."""
         lines = [
             f"Division strategy: relational division via {self.strategy!r}"
-            f" (est. {self.choice.estimated_ms:,.0f} model ms)",
+            f" (est. {self.estimated_ms:,.0f} model ms)",
             f"  dividend: ~{self.estimates.dividend_tuples} tuples",
             f"  divisor:  ~{self.estimates.divisor_tuples} tuples"
             + (" (restricted)" if self.estimates.divisor_restricted else ""),
@@ -84,9 +97,7 @@ class DivisionDecision:
         ]
         if self.estimates.may_contain_duplicates:
             lines.append("  duplicates possible: counting needs preprocessing")
-        runners_up = [
-            ranked for ranked in self.choice.ranking if ranked.strategy != self.strategy
-        ]
+        runners_up = self.ranking[1:]
         if runners_up:
             alternatives = ", ".join(
                 f"{ranked.strategy} ({ranked.estimated_ms:,.0f} ms)"
@@ -181,24 +192,14 @@ def decide_division(
     """Choose the division algorithm for one ``Divide`` node.
 
     The only producer of :class:`DivisionDecision` records: runs the
-    exact statistics pass, prices every applicable strategy with the
-    advisor, and decides whether a counting strategy needs explicit
-    duplicate elimination (the paper's footnote 1).
+    exact statistics pass and prices every applicable strategy with the
+    advisor; the record derives the winner and whether a counting
+    strategy needs explicit duplicate elimination.
     """
     estimates, quotient_names = collect_division_estimates(
         node.dividend, node.divisor, node.divisor_restricted
     )
-    choice = advise(estimates, units)
-    return DivisionDecision(
-        strategy=choice.strategy,
-        estimates=estimates,
-        quotient_names=quotient_names,
-        choice=choice,
-        eliminate_duplicates=(
-            estimates.may_contain_duplicates
-            and choice.strategy.startswith(("sort-agg", "hash-agg"))
-        ),
-    )
+    return DivisionDecision(estimates, quotient_names, advise(estimates, units))
 
 
 class Planner:

@@ -154,21 +154,6 @@ class Schema:
         """Schema of a projection onto ``names`` (in the given order)."""
         return Schema(self[name] for name in names)
 
-    def complement(self, names: Sequence[str]) -> "Schema":
-        """Schema of the attributes *not* in ``names``, in schema order.
-
-        For a division ``R(quotient ∪ divisor) ÷ S(divisor)``, the
-        quotient schema is ``R.schema.complement(S.schema.names)``.
-        """
-        excluded = set(names)
-        missing = excluded - set(self.names)
-        if missing:
-            raise SchemaError(f"attributes {sorted(missing)} not in schema {self.names}")
-        remaining = [a for a in self._attributes if a.name not in excluded]
-        if not remaining:
-            raise SchemaError("complement would produce an empty schema")
-        return Schema(remaining)
-
     def concat(self, other: "Schema") -> "Schema":
         """Schema of the concatenation of two tuples (Cartesian product)."""
         return Schema(tuple(self._attributes) + tuple(other._attributes))

@@ -11,10 +11,11 @@ deterministic multi-client service.  One request travels:
    (:mod:`repro.serve.cache`) are consulted race-free,
 3. **admission** -- a memory grant sized from the planner's estimates
    (:mod:`repro.serve.admission`); bounded waiting, shed on overload,
-4. **execution** -- the compiled operator tree is stepped
-   cooperatively, ``rows_per_step`` tuples per scheduler step, with
-   the Table 3 I/O meter delta as the step's virtual cost; hash-table
-   overflow degrades to the Section 3.4 partitioned fallback,
+4. **execution** -- the compiled plan is stepped cooperatively by
+   :meth:`~repro.plan.physical.PhysicalPlan.steps`, ``rows_per_step``
+   tuples per scheduler step, with the Table 3 I/O meter delta as the
+   step's virtual cost; hash-table overflow degrades to the Section
+   3.4 partitioned fallback inside that generator,
 5. **teardown** -- grants, locks, and iterators are released in
    ``finally`` blocks, so timeouts/cancellations (thrown in at step
    boundaries by the scheduler) cannot leak; :meth:`QueryService.run`
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Sequence
 
 from repro.errors import (
-    HashTableOverflowError,
     QueryCancelledError,
     QueryTimeoutError,
     ReproError,
@@ -583,45 +583,21 @@ class QueryService:
     def _execute_division(
         self, rec: RequestOutcome, node: DivideNode, decision: DivisionDecision
     ) -> Generator:
-        """Cooperatively step the compiled operator tree (generator).
+        """Cooperatively step the compiled plan (generator).
 
-        Yields the Table 3 I/O-meter delta of each stretch as its
-        virtual cost.  Stop-and-go phases (sorts, hash build inside
-        ``open()``) complete within one step; the streaming probe phase
-        yields every ``rows_per_step`` tuples.  Hash-table overflow
-        degrades to the plan's Section 3.4 partitioned fallback.
+        :meth:`PhysicalPlan.steps` yields the Table 3 I/O-meter delta
+        of each stretch as its virtual cost and degrades a hash-table
+        overflow to the Section 3.4 partitioned fallback; this records
+        the fallback, also when the fallback itself fails.
         """
-        ctx = self.ctx
-        plan = compile_plan(node, ctx, decision=decision)
-        root = plan.root
-        rows: list = []
+        plan = compile_plan(node, self.ctx, decision=decision)
         try:
-            try:
-                io_before = ctx.io_cost_ms()
-                root.open()
-                yield ctx.io_cost_ms() - io_before
-                exhausted = False
-                while not exhausted:
-                    io_before = ctx.io_cost_ms()
-                    for _ in range(self.config.rows_per_step):
-                        row = root.next()
-                        if row is None:
-                            exhausted = True
-                            break
-                        rows.append(row)
-                    yield ctx.io_cost_ms() - io_before
-            except HashTableOverflowError:
-                # The admission estimate undershot (or pressure faults
-                # shrank the budget under us): degrade, don't fail.
+            result = yield from plan.steps(self.config.rows_per_step, "quotient")
+        finally:
+            if plan.fell_back:
                 rec.fell_back = True
                 self.metrics.counter("repro_serve_overflow_fallbacks_total").inc()
-                root.close()
-                io_before = ctx.io_cost_ms()
-                rows = list(plan.overflow_fallback("quotient").rows)
-                yield ctx.io_cost_ms() - io_before
-            return rows
-        finally:
-            root.close()  # idempotent: safe after the overflow path
+        return result.rows
 
     def _check_oracle(
         self, rec: RequestOutcome, rows: tuple, oracle: frozenset | None

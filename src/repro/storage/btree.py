@@ -11,7 +11,7 @@ keys and children; leaves hold (key, value) pairs and are chained for
 range scans.  Keys are arbitrary orderable tuples, values are opaque
 (typically :class:`~repro.storage.heapfile.RecordId`).  Duplicate keys
 are rejected -- secondary indexes append the RID to the key to make it
-unique, which :meth:`BPlusTree.insert_multi` automates.
+unique.
 
 Every key comparison can be metered into a
 :class:`~repro.metering.CpuCounters` so index costs are visible in the
@@ -198,14 +198,6 @@ class BPlusTree:
         self._size += 1
         self.stats.inserts += 1
 
-    def insert_multi(self, key: tuple, value: Any) -> None:
-        """Insert a possibly duplicate key by appending the value to it.
-
-        Stores under the composite key ``key + (value,)``, the standard
-        trick for secondary indexes over non-unique attributes.
-        """
-        self.insert(tuple(key) + (value,), value)
-
     def _insert(self, node: _Node, key: Any, value: Any) -> tuple[Any, _Node] | None:
         if isinstance(node, _Leaf):
             self._charge(self._bisect_cost(len(node.keys)))
@@ -351,66 +343,3 @@ class BPlusTree:
             left.children.extend(right.children)
         parent.keys.pop(index)
         parent.children.pop(index + 1)
-
-    # -- bulk load --------------------------------------------------------------
-
-    @classmethod
-    def bulk_load(
-        cls,
-        items: Iterator[tuple[Any, Any]] | list[tuple[Any, Any]],
-        order: int = DEFAULT_ORDER,
-        cpu: CpuCounters | None = None,
-    ) -> "BPlusTree":
-        """Build a tree from *sorted, unique* (key, value) pairs.
-
-        Leaves are packed left to right at ~2/3 fill, then interior
-        levels are built bottom-up -- the standard bulk-load that avoids
-        per-key descents.
-
-        Raises:
-            BTreeError: when the input is unsorted or has duplicates.
-        """
-        tree = cls(order=order, cpu=cpu)
-        fill = max(2, (2 * order) // 3)
-        leaves: list[_Leaf] = []
-        previous_key: Any = None
-        current = _Leaf()
-        count = 0
-        for key, value in items:
-            if previous_key is not None:
-                if cpu is not None:
-                    cpu.comparisons += 1
-                if key <= previous_key:
-                    raise BTreeError("bulk_load input must be sorted and unique")
-            previous_key = key
-            if len(current.keys) >= fill:
-                leaves.append(current)
-                nxt = _Leaf()
-                current.next = nxt
-                current = nxt
-            current.keys.append(key)
-            current.values.append(value)
-            count += 1
-        leaves.append(current)
-        if count == 0:
-            return tree
-        tree._size = count
-        level: list[_Node] = list(leaves)
-        separators = [leaf.keys[0] for leaf in leaves]
-        height = 1
-        while len(level) > 1:
-            parents: list[_Node] = []
-            parent_separators: list[Any] = []
-            for start in range(0, len(level), fill):
-                group = level[start : start + fill]
-                node = _Interior()
-                node.children = group
-                node.keys = separators[start + 1 : start + len(group)]
-                parents.append(node)
-                parent_separators.append(separators[start])
-            level = parents
-            separators = parent_separators
-            height += 1
-        tree._root = level[0]
-        tree._height = height
-        return tree

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.costmodel.advisor import (
     DivisionEstimates,
-    choose_strategy,
     rank_strategies,
 )
 from repro.core.divide import divide_with_advisor
@@ -24,13 +23,13 @@ class TestRanking:
     def test_clean_inputs_pick_hash_aggregation(self, s, q):
         """Section 7: hash-agg without semi-join is the fastest when it
         applies; the advisor agrees at every Table 2 size point."""
-        assert choose_strategy(paper_point(s, q)).strategy == "hash-agg no join"
+        assert rank_strategies(paper_point(s, q))[0].strategy == "hash-agg no join"
 
     @pytest.mark.parametrize("s,q", [(25, 25), (400, 400)])
     def test_restricted_divisor_picks_hash_division(self, s, q):
         """Once a semi-join would be required, hash-division wins --
         the paper's central claim."""
-        picked = choose_strategy(paper_point(s, q, divisor_restricted=True))
+        picked = rank_strategies(paper_point(s, q, divisor_restricted=True))[0]
         assert picked.strategy == "hash-division"
 
     def test_restricted_divisor_excludes_no_join_strategies(self):
@@ -41,7 +40,7 @@ class TestRanking:
         assert "sort-agg with join" in names
 
     def test_duplicates_pick_hash_division(self):
-        picked = choose_strategy(paper_point(100, 100, may_contain_duplicates=True))
+        picked = rank_strategies(paper_point(100, 100, may_contain_duplicates=True))[0]
         assert picked.strategy == "hash-division"
         ranked = rank_strategies(paper_point(100, 100, may_contain_duplicates=True))
         counting = [e for e in ranked if "agg" in e.strategy]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.costmodel.advisor import DivisionEstimates, choose_strategy
+from repro.costmodel.advisor import DivisionEstimates, rank_strategies
 from repro.executor.iterator import ExecContext
 from repro.query import Query
 from repro.relalg import algebra
@@ -129,7 +129,7 @@ def test_plan_time_advisor_choice_matches_eager_statistics(
             eager_dividend.has_duplicates() or eager_divisor.has_duplicates()
         ),
     )
-    expected_strategy = choose_strategy(estimates).strategy
+    expected_strategy = rank_strategies(estimates)[0].strategy
 
     plan = dividend_query.contains(divisor_query).compile()
     assert len(plan.decisions) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.costmodel.advisor import DivisionEstimates, choose_strategy
+from repro.costmodel.advisor import DivisionEstimates, rank_strategies
 from repro.errors import ExecutionError
 from repro.metering import CpuCounters
 from repro.plan.logical import (
@@ -165,7 +165,7 @@ class TestPlanner:
         planner.compile(node)
         assert len(planner.decisions) == 1
         decision = planner.decisions[0]
-        assert decision.strategy == choose_strategy(decision.estimates).strategy
+        assert decision.strategy == rank_strategies(decision.estimates)[0].strategy
         assert "Division strategy:" in decision.render()
 
     def test_restricted_divisor_never_gets_no_join_counting(self, ctx):
@@ -202,7 +202,7 @@ class TestPlanner:
                 divisor_tuples=divisor_tuples,
                 quotient_tuples=quotient_tuples,
             )
-            expected = choose_strategy(estimates).strategy
+            expected = rank_strategies(estimates)[0].strategy
             dividend = Relation.of_ints(
                 ("q", "d"),
                 [
@@ -241,7 +241,10 @@ class TestCompilePlan:
         node = DivideNode(
             SourceNode(R([(1, 0), (1, 1), (2, 0)])), SourceNode(S([(0,), (1,)]))
         )
-        decision = replace(decide_division(node), strategy="naive")
+        decided = decide_division(node)
+        naive = next(r for r in decided.ranking if r.strategy == "naive")
+        decision = replace(decided, ranking=(naive,))
+        assert decision.strategy == "naive" != decided.strategy
         del statistics_passes[:]
         plan = compile_plan(node, ctx, decision=decision)
         assert statistics_passes == []

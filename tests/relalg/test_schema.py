@@ -70,19 +70,6 @@ class TestSchema:
         schema = Schema.of_ints("a", "b", "c")
         assert schema.project(["c", "a"]).names == ("c", "a")
 
-    def test_complement_keeps_schema_order(self):
-        schema = Schema.of_ints("a", "b", "c")
-        assert schema.complement(["b"]).names == ("a", "c")
-
-    def test_complement_of_everything_rejected(self):
-        schema = Schema.of_ints("a")
-        with pytest.raises(SchemaError):
-            schema.complement(["a"])
-
-    def test_complement_of_unknown_rejected(self):
-        with pytest.raises(SchemaError):
-            Schema.of_ints("a").complement(["zz"])
-
     def test_concat(self):
         left = Schema.of_ints("a")
         right = Schema.of_ints("b")

@@ -18,8 +18,8 @@ from repro.workloads.synthetic import make_exact_division
 
 
 def make_service(seed=0, memory_budget=1 << 20, divisor=4, quotient=16,
-                 **config_kwargs):
-    ctx = ExecContext(memory_budget=memory_budget)
+                 storage=None, **config_kwargs):
+    ctx = ExecContext(config=storage, memory_budget=memory_budget)
     catalog = Catalog(ctx.pool, ctx.data_disk)
     dividend, divisor_rel = make_exact_division(divisor, quotient, seed=seed)
     catalog.store(dividend, "enrollment")
@@ -285,3 +285,30 @@ class TestAdmissionIntegration:
         assert frozenset(task.result.rows) == oracle
         # With 2 KiB the hash tables cannot fit: the overflow path ran.
         assert outcomes[0].fell_back is True
+
+    def test_failing_fallback_is_still_recorded_as_a_fallback(self):
+        """A temp-device write fault while the fallback spools its
+        partitions fails the query with a typed error, and the request
+        still counts as one that fell back."""
+        from repro.faults import FaultInjector, FaultRule
+        from repro.storage.config import StorageConfig
+
+        # A four-frame pool, so the spool writes temp pages to the device.
+        service, _ = make_service(
+            memory_budget=2048, divisor=8, quotient=64, result_cache=False,
+            storage=StorageConfig(page_size=512, buffer_size=4 * 512),
+        )
+        service.ctx.attach_fault_injector(
+            FaultInjector(
+                [FaultRule("permanent", op="write", device="temp")], seed=0
+            )
+        )
+        service.submit_query("enrollment", "courses")
+        (outcome,) = service.run()
+        assert outcome.outcome == "error"
+        assert outcome.error_type == "DiskFaultError"
+        assert outcome.fell_back is True
+        fallbacks = service.metrics.counter("repro_serve_overflow_fallbacks_total")
+        assert fallbacks.value == 1
+        assert service.leak_report() == []
+        assert service.ctx.temp_disk.page_count == 0

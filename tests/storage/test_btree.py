@@ -32,13 +32,6 @@ class TestBasics:
         with pytest.raises(BTreeError):
             tree.insert((1,), "b")
 
-    def test_insert_multi_allows_duplicates(self):
-        tree = BPlusTree(order=4)
-        tree.insert_multi((1,), "rid-a")
-        tree.insert_multi((1,), "rid-b")
-        values = [value for _, value in tree.range((1,), (1, "￿"))]
-        assert sorted(values) == ["rid-a", "rid-b"]
-
     def test_order_must_be_at_least_three(self):
         with pytest.raises(BTreeError):
             BPlusTree(order=2)
@@ -129,39 +122,6 @@ class TestDelete:
         assert len(tree) == len(model)
         assert dict(tree.items()) == model
         assert [k for k, _ in tree.items()] == sorted(model)
-
-
-class TestBulkLoad:
-    def test_bulk_load_roundtrip(self):
-        items = [((i,), i * 10) for i in range(1000)]
-        tree = BPlusTree.bulk_load(items, order=8)
-        assert len(tree) == 1000
-        assert tree.search((500,)) == 5000
-        assert [key for key, _ in tree.items()] == [key for key, _ in items]
-
-    def test_bulk_load_empty(self):
-        tree = BPlusTree.bulk_load([], order=8)
-        assert len(tree) == 0
-
-    def test_bulk_load_single(self):
-        tree = BPlusTree.bulk_load([((1,), "x")], order=8)
-        assert tree.search((1,)) == "x"
-
-    def test_bulk_load_rejects_unsorted(self):
-        with pytest.raises(BTreeError):
-            BPlusTree.bulk_load([((2,), 0), ((1,), 0)], order=8)
-
-    def test_bulk_load_rejects_duplicates(self):
-        with pytest.raises(BTreeError):
-            BPlusTree.bulk_load([((1,), 0), ((1,), 0)], order=8)
-
-    def test_bulk_loaded_tree_is_mutable(self):
-        tree = BPlusTree.bulk_load([((i,), i) for i in range(100)], order=8)
-        tree.insert((1000,), "new")
-        tree.delete((50,))
-        assert tree.search((1000,)) == "new"
-        assert tree.search((50,)) is None
-        assert len(tree) == 100
 
 
 class TestMetering:
