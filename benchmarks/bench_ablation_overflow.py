@@ -1,6 +1,6 @@
 """Ablation: overflow strategy -- quotient vs divisor partitioning (§3.4).
 
-Under one memory budget, measures both partitioned drivers on a
+Under one memory budget, measures both partitioning strategies on a
 workload each strategy is suited to, plus the cross case, exposing the
 complementary strengths the paper describes (quotient partitioning
 shrinks the quotient table per phase but keeps the whole divisor table
@@ -12,21 +12,22 @@ from conftest import once
 
 from repro.errors import HashTableOverflowError
 from repro.costmodel.units import PAPER_UNITS
-from repro.core.partitioned import (
-    divisor_partitioned_division,
-    quotient_partitioned_division,
-)
-from repro.executor.iterator import ExecContext
+from repro.core.partitioned import PartitionedHashDivision
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.experiments.report import render_table
 from repro.workloads.synthetic import make_exact_division
 
 
-def _attempt(partitioner, dividend, divisor, partitions, budget):
+def _attempt(strategy, dividend, divisor, partitions, budget):
     ctx = ExecContext(memory_budget=budget)
     try:
-        quotient = partitioner(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), partitions
+        quotient = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                **{f"{strategy}_partitions": partitions},
+            )
         )
     except HashTableOverflowError:
         return None
@@ -49,18 +50,12 @@ def bench_overflow_strategies(benchmark, write_result):
 
     def run_matrix():
         return {
-            ("wide", "quotient"): _attempt(
-                quotient_partitioned_division, wide, wide_divisor, 8, budget
-            ),
-            ("wide", "divisor"): _attempt(
-                divisor_partitioned_division, wide, wide_divisor, 8, budget
-            ),
-            ("deep", "quotient"): _attempt(
-                quotient_partitioned_division, deep, deep_divisor, 8, budget
-            ),
-            ("deep", "divisor"): _attempt(
-                divisor_partitioned_division, deep, deep_divisor, 8, budget
-            ),
+            (workload, strategy): _attempt(strategy, dividend, divisor, 8, budget)
+            for workload, dividend, divisor in (
+                ("wide", wide, wide_divisor),
+                ("deep", deep, deep_divisor),
+            )
+            for strategy in ("quotient", "divisor")
         }
 
     outcomes = once(benchmark, run_matrix)

@@ -11,12 +11,8 @@ from conftest import once
 
 from repro.errors import HashTableOverflowError
 from repro.costmodel.units import PAPER_UNITS
-from repro.core.partitioned import (
-    combined_partitioned_division,
-    divisor_partitioned_division,
-    quotient_partitioned_division,
-)
-from repro.executor.iterator import ExecContext
+from repro.core.partitioned import PartitionedHashDivision
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.experiments.report import render_table
 from repro.relalg.relation import Relation
@@ -24,10 +20,16 @@ from repro.relalg.relation import Relation
 BUDGET = 24 * 1024
 
 
-def _attempt(label, runner):
+def _attempt(label, dividend, divisor, **partitioning):
     ctx = ExecContext(memory_budget=BUDGET)
     try:
-        quotient = runner(ctx)
+        quotient = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                **partitioning,
+            )
+        )
     except HashTableOverflowError:
         return (label, "overflow", "-", "-")
     return (
@@ -47,26 +49,14 @@ def bench_combined_partitioning(benchmark, write_result):
 
     def run_matrix():
         return [
-            _attempt(
-                "quotient only (8)",
-                lambda ctx: quotient_partitioned_division(
-                    RelationSource(ctx, dividend), RelationSource(ctx, divisor), 8
-                ),
-            ),
-            _attempt(
-                "divisor only (8)",
-                lambda ctx: divisor_partitioned_division(
-                    RelationSource(ctx, dividend), RelationSource(ctx, divisor), 8
-                ),
-            ),
+            _attempt("quotient only (8)", dividend, divisor, quotient_partitions=8),
+            _attempt("divisor only (8)", dividend, divisor, divisor_partitions=8),
             _attempt(
                 "combined (8 x 8)",
-                lambda ctx: combined_partitioned_division(
-                    RelationSource(ctx, dividend),
-                    RelationSource(ctx, divisor),
-                    quotient_partitions=8,
-                    divisor_partitions=8,
-                ),
+                dividend,
+                divisor,
+                quotient_partitions=8,
+                divisor_partitions=8,
             ),
         ]
 

@@ -10,11 +10,7 @@ Run with:  python examples/overflow_partitioning.py
 
 from repro import Relation
 from repro.core.hash_division import HashDivision
-from repro.core.partitioned import (
-    divisor_partitioned_division,
-    hash_division_with_overflow,
-    quotient_partitioned_division,
-)
+from repro.core.partitioned import PartitionedHashDivision, hash_division_with_overflow
 from repro.errors import HashTableOverflowError
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
@@ -45,8 +41,12 @@ def main() -> None:
 
     # -- explicit quotient partitioning ----------------------------------
     ctx = ExecContext(memory_budget=budget)
-    quotient = quotient_partitioned_division(
-        RelationSource(ctx, dividend), RelationSource(ctx, divisor), partitions=8
+    quotient = run_to_relation(
+        PartitionedHashDivision(
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
+            quotient_partitions=8,
+        )
     )
     print(f"quotient partitioning, 8 phases: {len(quotient)} quotient tuples, "
           f"peak memory {ctx.memory.stats.peak_bytes // 1024} KiB, "
@@ -54,8 +54,12 @@ def main() -> None:
 
     # -- explicit divisor partitioning (with collection phase) ------------
     ctx = ExecContext()
-    quotient = divisor_partitioned_division(
-        RelationSource(ctx, dividend), RelationSource(ctx, divisor), partitions=4
+    quotient = run_to_relation(
+        PartitionedHashDivision(
+            RelationSource(ctx, dividend),
+            RelationSource(ctx, divisor),
+            divisor_partitions=4,
+        )
     )
     print(f"divisor partitioning, 4 phases + collection: "
           f"{len(quotient)} quotient tuples")

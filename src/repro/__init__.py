@@ -51,12 +51,10 @@ from repro.core import (
     HashDivision,
     NaiveDivision,
     algebraic_division,
-    combined_partitioned_division,
+    PartitionedHashDivision,
     divide,
     divide_with_advisor,
-    divisor_partitioned_division,
     hash_division_with_overflow,
-    quotient_partitioned_division,
 )
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.obs import (
@@ -91,9 +89,7 @@ __all__ = [
     "HashDivision",
     "NaiveDivision",
     "algebraic_division",
-    "quotient_partitioned_division",
-    "divisor_partitioned_division",
-    "combined_partitioned_division",
+    "PartitionedHashDivision",
     "hash_division_with_overflow",
     "Bitmap",
     # execution & metering

@@ -26,10 +26,8 @@ from repro.core.hash_division import HashDivision
 from repro.core.naive_division import NaiveDivision
 from repro.core.algebraic_division import algebraic_division
 from repro.core.partitioned import (
-    combined_partitioned_division,
-    divisor_partitioned_division,
+    PartitionedHashDivision,
     hash_division_with_overflow,
-    quotient_partitioned_division,
 )
 from repro.core.divide import divide, divide_with_advisor
 from repro.core.trace import DivisionTrace, TraceEvent, trace_hash_division
@@ -39,9 +37,7 @@ __all__ = [
     "HashDivision",
     "NaiveDivision",
     "algebraic_division",
-    "quotient_partitioned_division",
-    "divisor_partitioned_division",
-    "combined_partitioned_division",
+    "PartitionedHashDivision",
     "hash_division_with_overflow",
     "divide",
     "divide_with_advisor",

@@ -20,39 +20,42 @@ that can be processed in multiple phases".  Two strategies:
   (:func:`collection_division`, which the parallel divisor strategy of
   :mod:`repro.parallel.division` also runs).
 
-Every strategy is built from the same three pieces: one spooler
+:class:`PartitionedHashDivision` is both strategies, and their
+combination, as one open-next-close operator.  ``open()`` reads the
+divisor once and spools the dividend into its quotient clusters
 (:func:`_spool_partitions`, which keeps cluster 0 in memory for the
-hybrid variant), one divisor read (:func:`_drain`) and one phase runner
-(:func:`_run_phases`, which reclaims the queued cluster files when a
-phase fails).  Combined partitioning is quotient partitioning whose
-per-cluster division is divisor partitioning.
+hybrid variant); each ``next_batch()`` divides the next cluster;
+``close()`` destroys the cluster files not yet read, so a deadline that
+lands between two clusters leaks no temp page.
 
-:func:`hash_division_with_overflow` is the adaptive driver: it attempts
-single-phase hash-division and, on
-:class:`~repro.errors.HashTableOverflowError`, retries with a doubling
-number of partitions, up to :data:`MAX_PARTITIONS`.
+:func:`overflow_attempts` is the adaptive sequence: single-phase
+hash-division, then the operator with a doubling number of partitions,
+up to :data:`MAX_PARTITIONS`.  :func:`step_attempts`, the one stepping
+loop, runs it for :meth:`repro.plan.physical.PhysicalPlan.steps` and
+:func:`hash_division_with_overflow`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import sys
+from itertools import chain, islice
+from typing import Generator, Iterable, Iterator, Sequence
 
-from repro.errors import HashTableOverflowError, PartitioningError
+from repro.errors import ExecutionError, HashTableOverflowError, PartitioningError
 from repro.core.hash_division import HashDivision
 from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
 from repro.executor.scan import RelationSource, TempFileScan
 from repro.relalg.algebra import division_attribute_split
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, Schema
-from repro.relalg.tuples import projector
+from repro.relalg.tuples import Row, projector
 from repro.storage.heapfile import HeapFile
 
 #: Name of the synthetic column carrying the phase number in the
 #: collection phase's dividend.
 PHASE_COLUMN = "__phase__"
 
-#: Most partitions :func:`hash_division_with_overflow` tries before it
-#: gives up.
+#: Most partitions :func:`overflow_attempts` tries before it gives up.
 MAX_PARTITIONS = 256
 
 
@@ -80,15 +83,12 @@ def collection_division(
 
 
 def _destroy_files(files: Sequence[HeapFile]) -> None:
-    """Best-effort destruction of partition temp files on a failure path.
+    """Best-effort destruction of partition temp files.
 
     :meth:`~repro.storage.heapfile.HeapFile.destroy` is idempotent, so
     files already consumed (and destroyed) by a ``TempFileScan`` are
     skipped harmlessly; files whose phases never ran are reclaimed.
-    Destruction never raises -- cleanup must not mask the original
-    error -- which is why :func:`_spool_partitions` and
-    :func:`_run_phases` call this from ``except`` blocks before
-    re-raising.
+    Destruction never raises, so cleanup cannot mask the original error.
     """
     for file in files:
         file.destroy()
@@ -159,193 +159,235 @@ def _spool_partitions(
     return phase_inputs, files
 
 
-def _run_phases(
-    phase_inputs: Sequence[QueryIterator],
-    files: Sequence[HeapFile],
-    divide: Callable[[int, QueryIterator], Relation | None],
-) -> list[Relation | None]:
-    """Run ``divide(index, cluster)`` for each cluster, in order.
-
-    A failed phase (overflow, injected disk fault, ...) closes *its
-    own* ``TempFileScan`` -- destroying that file -- but the clusters
-    queued behind it would otherwise leak temp pages, so every file is
-    destroyed before the error propagates.
-    """
-    try:
-        return [divide(index, cluster) for index, cluster in enumerate(phase_inputs)]
-    except BaseException:
-        _destroy_files(files)
-        raise
-
-
-def _quotient_partitioned(
-    dividend: QueryIterator,
-    divisor: QueryIterator,
-    partitions: int,
-    name: str,
-    divide_cluster: Callable[[QueryIterator, Relation], Relation],
-    hybrid: bool = False,
-) -> Relation:
-    """Partition the dividend on the quotient attributes and concatenate
-    ``divide_cluster(cluster, divisor_relation)`` over the clusters."""
-    quotient_names, _divisor_names = division_attribute_split(
-        dividend.schema, divisor.schema
-    )
-    divisor_relation = _drain(divisor)
-    phase_inputs, files = _spool_partitions(
-        dividend, quotient_names, partitions, dividend.ctx, hybrid
-    )
-    quotients = _run_phases(
-        phase_inputs,
-        files,
-        lambda _index, cluster: divide_cluster(cluster, divisor_relation),
-    )
-    result = Relation(dividend.schema.project(quotient_names), name=name)
-    for quotient in quotients:
-        result.extend(quotient)
-    return result
-
-
-def quotient_partitioned_division(
-    dividend: QueryIterator,
-    divisor: QueryIterator,
-    partitions: int,
-    name: str = "quotient",
-    hybrid: bool = False,
-) -> Relation:
-    """Multi-phase hash-division with quotient partitioning.
-
-    The dividend is hash-partitioned on the quotient attributes; each
-    cluster is divided by the entire divisor.  Because the clusters are
-    disjoint in their quotient values, the final quotient is the
-    concatenation of the per-phase quotients -- no collection phase.
-
-    With ``hybrid=True`` cluster 0 stays in memory (see
-    :func:`_spool_partitions`), saving one write+read round trip for
-    its share of the dividend.
-    """
-    if partitions <= 0:
-        raise PartitioningError(f"partitions must be positive, got {partitions}")
-    ctx = dividend.ctx
-
-    def divide_cluster(cluster: QueryIterator, divisor_relation: Relation) -> Relation:
-        return run_to_relation(
-            HashDivision(
-                cluster,
-                RelationSource(ctx, divisor_relation),
-                expected_divisor=len(divisor_relation),
-            )
-        )
-
-    return _quotient_partitioned(
-        dividend, divisor, partitions, name, divide_cluster, hybrid
-    )
-
-
-def divisor_partitioned_division(
-    dividend: QueryIterator,
-    divisor: QueryIterator,
-    partitions: int,
-    name: str = "quotient",
-) -> Relation:
-    """Multi-phase hash-division with divisor partitioning.
-
-    Both inputs are hash-partitioned on the divisor attributes with the
-    same function.  Empty divisor clusters are dropped together with
-    their dividend clusters: a dividend tuple routed to an empty
-    divisor cluster matches no divisor tuple and would be discarded by
-    step 2 anyway.  Each phase's quotient is tagged with the phase
-    number, and the collection phase divides the tagged union by the
-    set of phase numbers (division, again).
-    """
-    if partitions <= 0:
-        raise PartitioningError(f"partitions must be positive, got {partitions}")
-    ctx = dividend.ctx
-    quotient_names, divisor_names = division_attribute_split(
-        dividend.schema, divisor.schema
-    )
-    divisor_relation = _drain(divisor)
-    if not divisor_relation:
-        # Vacuous division: delegate to single-phase hash-division,
-        # which resolves an empty divisor to "every candidate".
-        return run_to_relation(
-            HashDivision(dividend, RelationSource(ctx, divisor_relation)), name=name
-        )
-
-    cpu = ctx.cpu
-    divisor_clusters: list[list[tuple]] = [[] for _ in range(partitions)]
-    for row in divisor_relation:
-        cpu.hashes += 1
-        divisor_clusters[hash(tuple(row)) % partitions].append(row)
-    phase_inputs, files = _spool_partitions(dividend, divisor_names, partitions, ctx)
-
-    def divide_cluster(index: int, cluster: QueryIterator) -> Relation | None:
-        cluster_divisor = divisor_clusters[index]
-        if not cluster_divisor:
-            files[index].destroy()
-            return None
-        return run_to_relation(
-            HashDivision(
-                cluster,
-                RelationSource(
-                    ctx,
-                    Relation(divisor.schema, cluster_divisor, name="divisor-cluster"),
-                ),
-                expected_divisor=len(cluster_divisor),
-            )
-        )
-
-    # Phase numbering skips empty divisor clusters (see docstring).
-    phase_quotients = [
-        quotient
-        for quotient in _run_phases(phase_inputs, files, divide_cluster)
-        if quotient is not None
-    ]
-    tagged = Relation(
-        tagged_schema(dividend.schema.project(quotient_names)),
-        (
-            row + (phase,)
-            for phase, quotient in enumerate(phase_quotients)
-            for row in quotient
-        ),
-        name="tagged-quotients",
-    )
+def _single_phase(cluster: QueryIterator, divisor: Relation) -> list[Row]:
+    """Single-phase hash-division of one cluster by an in-memory divisor."""
     return run_to_relation(
-        collection_division(ctx, tagged, len(phase_quotients)), name=name
-    )
+        HashDivision(
+            cluster,
+            RelationSource(cluster.ctx, divisor),
+            expected_divisor=len(divisor),
+        )
+    ).rows
 
 
-def combined_partitioned_division(
-    dividend: QueryIterator,
-    divisor: QueryIterator,
-    quotient_partitions: int,
-    divisor_partitions: int,
-    name: str = "quotient",
-) -> Relation:
-    """Both partitioning strategies together (§3.4's final question).
+class PartitionedHashDivision(QueryIterator):
+    """Multi-phase hash-division (§3.4) as one operator.
 
-    "What happens if neither one of these partitioning strategies work
-    because both divisor and quotient are too large?  In this case it
-    will be necessary to resort to combinations of the techniques."
+    Args:
+        dividend, divisor: The inputs, each read once per ``open()``.
+        quotient_partitions: Hash-partition the dividend on the
+            quotient attributes into this many clusters, each divided
+            by the whole divisor.  The clusters are disjoint in their
+            quotient values, so the quotient is the concatenation of
+            the per-cluster quotients -- no collection phase.  ``None``:
+            the dividend itself is the one cluster.
+        divisor_partitions: Divide each cluster by divisor partitioning
+            with this many phases plus the collection phase.  Empty
+            divisor clusters are dropped together with their dividend
+            clusters: a dividend tuple routed there matches no divisor
+            tuple and would be discarded by step 2 anyway.  ``None``:
+            divide each cluster by single-phase hash-division.
+        hybrid: Keep quotient cluster 0 in memory (see
+            :func:`_spool_partitions`), saving one write+read round
+            trip for its share of the dividend.
 
-    This is quotient partitioning whose per-cluster division is
-    :func:`divisor_partitioned_division` (its own phases plus
-    collection).  A phase therefore holds only ``1/divisor_partitions``
-    of the divisor table and about ``1/quotient_partitions`` of the
-    quotient candidates -- both tables shrink.
+    A count of 1 is a one-cluster spool, not the absence of
+    partitioning.  Both counts together are §3.4's "combinations of the
+    techniques" for when "both divisor and quotient are too large": a
+    phase holds ``1/divisor_partitions`` of the divisor table and about
+    ``1/quotient_partitions`` of the quotient candidates.  Each batch is
+    the quotient of the next cluster with a non-empty one.
     """
-    if quotient_partitions <= 0 or divisor_partitions <= 0:
-        raise PartitioningError("partition counts must be positive")
-    ctx = dividend.ctx
-    return _quotient_partitioned(
-        dividend,
-        divisor,
-        quotient_partitions,
-        name,
-        lambda cluster, divisor_relation: divisor_partitioned_division(
-            cluster, RelationSource(ctx, divisor_relation), divisor_partitions
-        ),
+
+    def __init__(
+        self,
+        dividend: QueryIterator,
+        divisor: QueryIterator,
+        quotient_partitions: int | None = None,
+        divisor_partitions: int | None = None,
+        hybrid: bool = False,
+    ) -> None:
+        for partitions in (quotient_partitions, divisor_partitions):
+            if partitions is not None and partitions <= 0:
+                raise PartitioningError(f"partitions must be positive, got {partitions}")
+        if hybrid and quotient_partitions is None:
+            raise PartitioningError("hybrid partitioning needs quotient_partitions")
+        quotient_names, divisor_names = division_attribute_split(
+            dividend.schema, divisor.schema
+        )
+        super().__init__(dividend.ctx, dividend.schema.project(quotient_names))
+        self.dividend = dividend
+        self.divisor = divisor
+        self.quotient_partitions = quotient_partitions
+        self.divisor_partitions = divisor_partitions
+        self.hybrid = hybrid
+        self.quotient_names = quotient_names
+        self.divisor_names = divisor_names
+        self._divisor_relation: Relation | None = None
+        self._clusters: Iterator[QueryIterator] = iter(())
+        self._files: list[HeapFile] = []
+
+    def _open(self) -> None:
+        self._divisor_relation = _drain(self.divisor)
+        if self.quotient_partitions is None:
+            clusters: list[QueryIterator] = [self.dividend]
+        else:
+            clusters, self._files = _spool_partitions(
+                self.dividend,
+                self.quotient_names,
+                self.quotient_partitions,
+                self.ctx,
+                self.hybrid,
+            )
+        self._clusters = iter(clusters)
+
+    def _next_batch(self) -> list[Row]:
+        divisor = self._divisor_relation
+        for cluster in self._clusters:
+            if self.divisor_partitions is None or not divisor:
+                # Single phase; it also resolves an empty divisor to
+                # "every candidate", which divisor clusters cannot.
+                rows = _single_phase(cluster, divisor)
+            else:
+                rows = self._divide_by_divisor_clusters(cluster, divisor)
+            if rows:
+                return rows
+        return []
+
+    def _divide_by_divisor_clusters(
+        self, cluster: QueryIterator, divisor: Relation
+    ) -> list[Row]:
+        """Divisor partitioning of one cluster: its phases, in order,
+        then the collection phase over their phase-tagged quotients."""
+        ctx, partitions = self.ctx, self.divisor_partitions
+        cpu = ctx.cpu
+        divisor_clusters: list[list[tuple]] = [[] for _ in range(partitions)]
+        for row in divisor:
+            cpu.hashes += 1
+            divisor_clusters[hash(tuple(row)) % partitions].append(row)
+        phase_inputs, files = _spool_partitions(
+            cluster, self.divisor_names, partitions, ctx
+        )
+        phase_quotients = []
+        try:
+            for phase_input, file, cluster_divisor in zip(
+                phase_inputs, files, divisor_clusters
+            ):
+                if cluster_divisor:
+                    phase_quotients.append(
+                        _single_phase(
+                            phase_input, Relation(divisor.schema, cluster_divisor)
+                        )
+                    )
+                else:
+                    file.destroy()
+        finally:
+            # A failed phase destroyed its own file when its scan
+            # closed; the files queued behind it are reclaimed here.
+            _destroy_files(files)
+        # Phase numbering skips empty divisor clusters.
+        tagged = Relation(
+            tagged_schema(self.schema),
+            (row + (phase,) for phase, rows in enumerate(phase_quotients) for row in rows),
+        )
+        return run_to_relation(
+            collection_division(ctx, tagged, len(phase_quotients))
+        ).rows
+
+    def _close(self) -> None:
+        # The clusters not yet read; the others' scans destroyed theirs.
+        _destroy_files(self._files)
+
+
+def overflow_attempts(
+    dividend: QueryIterator, divisor: QueryIterator, strategy: str = "quotient"
+) -> Iterator[QueryIterator]:
+    """The §3.4 attempt sequence over two re-openable inputs.
+
+    Single-phase hash-division first, then
+    :class:`PartitionedHashDivision` with 2, 4, 8, ... partitions of
+    ``strategy`` (``"quotient"`` or ``"divisor"``).  Asking for an
+    attempt past :data:`MAX_PARTITIONS` raises
+    :class:`~repro.errors.HashTableOverflowError`.
+    """
+    if strategy not in ("quotient", "divisor"):
+        raise PartitioningError(f"unknown partitioning strategy {strategy!r}")
+    yield HashDivision(dividend, divisor)
+    tracer = dividend.ctx.tracer
+    partitions = 2
+    while partitions <= MAX_PARTITIONS:
+        if tracer.enabled:
+            # One retry per doubling; the gauge keeps the last fan-out
+            # attempted, i.e. the one that succeeded (or the ceiling).
+            tracer.count("repro_division_overflow_retries_total", strategy=strategy)
+            tracer.gauge(
+                "repro_division_partition_fanout", partitions, strategy=strategy
+            )
+        yield PartitionedHashDivision(
+            dividend, divisor, **{f"{strategy}_partitions": partitions}
+        )
+        partitions *= 2
+    raise HashTableOverflowError(
+        f"hash-division still overflows with {MAX_PARTITIONS} partitions; "
+        "increase the memory budget"
     )
+
+
+def step_attempts(
+    ctx: ExecContext,
+    attempts: Iterable[QueryIterator],
+    rows_per_step: int,
+    name: str = "",
+) -> Generator[float, None, Relation]:
+    """Run the first of ``attempts`` that does not overflow, a stretch
+    at a time; returns its result relation.
+
+    Yields the Table 3 I/O-meter delta of an attempt's ``open()``
+    (sorts, hash builds and spools finish there), then of each stretch
+    of ``rows_per_step`` result tuples, pulled batch by batch, each
+    batch exactly where row-at-a-time ``next()`` would pull it.  A delta
+    counts from the resumption after the previous yield, so what the
+    caller does in between is not charged here.  An attempt that raises
+    :class:`~repro.errors.HashTableOverflowError` is closed, its rows
+    dropped and its I/O yielded; then the next one runs, or the last
+    overflow propagates.  So the deltas sum to the meter's growth on
+    every run that finishes or overflows.  Each attempt is closed
+    however the generator ends: an error thrown in at a yield (a
+    cancellation, a deadline) leaks nothing.
+    """
+    if rows_per_step < 1:
+        raise ExecutionError(f"rows_per_step must be at least 1, got {rows_per_step}")
+    mark = ctx.io_cost_ms()
+    for attempt in attempts:
+        try:
+            attempt.open()
+            yield ctx.io_cost_ms() - mark
+            mark = ctx.io_cost_ms()
+            rows: list[Row] = []
+            pull = chain.from_iterable(iter(attempt.next_batch, []))
+            while True:
+                before = len(rows)
+                rows.extend(islice(pull, rows_per_step))
+                yield ctx.io_cost_ms() - mark
+                mark = ctx.io_cost_ms()
+                if len(rows) - before < rows_per_step:
+                    return Relation(attempt.schema, rows, name=name)
+        except HashTableOverflowError as error:
+            overflow = error
+        finally:
+            attempt.close()
+        yield ctx.io_cost_ms() - mark
+        mark = ctx.io_cost_ms()
+    raise overflow
+
+
+def finish(run: Generator[float, None, Relation]) -> Relation:
+    """Drive a stepping generator to its end; returns its result."""
+    while True:
+        try:
+            next(run)
+        except StopIteration as done:
+            return done.value
 
 
 def hash_division_with_overflow(
@@ -356,9 +398,10 @@ def hash_division_with_overflow(
 ) -> Relation:
     """Adaptive hash-division that survives hash-table overflow.
 
-    Attempts single-phase hash-division first; when the memory pool
-    overflows, retries with 2, 4, 8, ... partitions of the requested
-    strategy until it fits or :data:`MAX_PARTITIONS` is exceeded.
+    Runs :func:`overflow_attempts` through :func:`step_attempts` in one
+    stretch: single-phase hash-division first; when the memory pool
+    overflows, 2, 4, 8, ... partitions of the requested strategy until
+    it fits or :data:`MAX_PARTITIONS` is exceeded.
 
     Args:
         dividend: The dividend; re-opened by every attempt (a failed
@@ -366,32 +409,5 @@ def hash_division_with_overflow(
         divisor: The divisor; re-opened by every attempt.
         strategy: ``"quotient"`` or ``"divisor"`` partitioning.
     """
-    if strategy not in ("quotient", "divisor"):
-        raise PartitioningError(f"unknown partitioning strategy {strategy!r}")
-    partitioner = (
-        quotient_partitioned_division
-        if strategy == "quotient"
-        else divisor_partitioned_division
-    )
-    tracer = dividend.ctx.tracer
-    try:
-        return run_to_relation(HashDivision(dividend, divisor), name=name)
-    except HashTableOverflowError:
-        pass
-    partitions = 2
-    while partitions <= MAX_PARTITIONS:
-        if tracer.enabled:
-            # One retry per doubling; the gauge keeps the last fan-out
-            # attempted, i.e. the one that succeeded (or the ceiling).
-            tracer.count("repro_division_overflow_retries_total", strategy=strategy)
-            tracer.gauge(
-                "repro_division_partition_fanout", partitions, strategy=strategy
-            )
-        try:
-            return partitioner(dividend, divisor, partitions, name=name)
-        except HashTableOverflowError:
-            partitions *= 2
-    raise HashTableOverflowError(
-        f"hash-division still overflows with {MAX_PARTITIONS} partitions; "
-        "increase the memory budget"
-    )
+    attempts = overflow_attempts(dividend, divisor, strategy)
+    return finish(step_attempts(dividend.ctx, attempts, sys.maxsize, name))

@@ -610,7 +610,8 @@ def run_serve_campaign(
             load = run_load(config)
         except ServeError as exc:
             # run_load's post-drain audit found leaked grants, locks,
-            # fixed frames, or pool bytes -- the invariant's second arm.
+            # fixed frames, pool bytes or pages -- the invariant's
+            # second arm.
             record.violations.append(f"dirty drain: {exc}")
             report.records.append(record)
             if max_seconds is not None and time.monotonic() - started >= max_seconds:

@@ -14,25 +14,24 @@ decisions, uniform EXPLAIN rendering, and one stepping generator,
 :meth:`PhysicalPlan.steps`, that also owns the memory-overflow
 fallback: when a single-phase hash table exceeds the context's memory
 budget, the plan re-runs through the Section 3.4 partitioned
-hash-division machinery instead of failing, re-opening the same
-(re-openable) input subtrees.
+hash-division operator instead of failing, re-opening the same
+(re-openable) input subtrees, and steps it like the root.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Iterator
 
-from repro.errors import DivisionError, ExecutionError, HashTableOverflowError
+from repro.errors import DivisionError, ExecutionError
 from repro.core.aggregate_division import (
     HashAggregateDivision,
     SortAggregateDivision,
 )
 from repro.core.hash_division import HashDivision
 from repro.core.naive_division import NaiveDivision
-from repro.core.partitioned import hash_division_with_overflow
+from repro.core.partitioned import finish, overflow_attempts, step_attempts
 from repro.costmodel.scenarios import TABLE2_COLUMNS
 from repro.executor.iterator import ExecContext, QueryIterator
 from repro.executor.sort import ExternalSort
@@ -143,8 +142,8 @@ class PhysicalPlan:
             subtree (below any strategy-specific sorts/joins) -- the
             hook the overflow fallback re-opens.
         divisor_input: Likewise for the divisor input subtree.
-        fell_back: Whether the last :meth:`steps` run degraded to
-            :meth:`overflow_fallback`.
+        fell_back: Whether the last :meth:`steps` run went on to the
+            Section 3.4 fallback after the root overflowed.
     """
 
     root: QueryIterator
@@ -161,67 +160,33 @@ class PhysicalPlan:
 
     def execute(self, name: str = "") -> Relation:
         """Run :meth:`steps` as one stretch; returns the result relation."""
-        run = self.steps(sys.maxsize, name)
-        try:
-            while True:
-                next(run)
-        except StopIteration as done:
-            return done.value
+        return finish(self.steps(sys.maxsize, name))
 
     def steps(self, rows_per_step: int, name: str) -> Generator[float, None, Relation]:
         """Run the plan a stretch at a time; returns the result relation.
 
-        Yields the Table 3 I/O-meter delta of ``open()`` (stop-and-go
-        phases such as sorts and hash builds finish there), then of
-        each stretch of ``rows_per_step`` result tuples.  Rows are
-        pulled batch by batch, and each batch exactly where row-at-a-time
-        ``next()`` would pull it, so every stretch books the same I/O.
-
-        A :class:`~repro.errors.HashTableOverflowError` under a tight
-        memory budget does not fail the query: the root is closed,
-        :attr:`fell_back` is set, and :meth:`overflow_fallback` runs as
-        one more stretch over the same input subtrees.  Hash-division
-        is duplicate-immune and handles the empty divisor, so the
-        fallback is correct whichever strategy overflowed.  The root is
-        closed however the generator ends, so an error thrown in at any
-        yield (a cancellation, a deadline) leaks nothing.
+        :func:`~repro.core.partitioned.step_attempts` over
+        :meth:`attempts`: every attempt, the fallback's included, yields
+        the I/O-meter delta of its ``open()`` and of each stretch of
+        ``rows_per_step`` result tuples.
         """
-        ctx, root = self.ctx, self.root
+        return step_attempts(self.ctx, self.attempts(), rows_per_step, name)
+
+    def attempts(self) -> Iterator[QueryIterator]:
+        """What :meth:`steps` runs, in order, until one does not overflow.
+
+        The root first.  When it overflows and the plan has its input
+        subtrees, :attr:`fell_back` is set and the Section 3.4 sequence
+        (:func:`~repro.core.partitioned.overflow_attempts`) re-opens
+        them.  Hash-division is duplicate-immune and handles the empty
+        divisor, so the fallback is correct whichever strategy
+        overflowed.
+        """
         self.fell_back = False
-        try:
-            try:
-                io_before = ctx.io_cost_ms()
-                root.open()
-                yield ctx.io_cost_ms() - io_before
-                rows: list = []
-                pull = chain.from_iterable(iter(root.next_batch, []))
-                while True:
-                    io_before = ctx.io_cost_ms()
-                    before = len(rows)
-                    rows.extend(islice(pull, rows_per_step))
-                    yield ctx.io_cost_ms() - io_before
-                    if len(rows) - before < rows_per_step:
-                        break
-            except HashTableOverflowError:
-                if self.dividend_input is None or self.divisor_input is None:
-                    raise
-                self.fell_back = True
-                root.close()
-                io_before = ctx.io_cost_ms()
-                result = self.overflow_fallback(name)
-                yield ctx.io_cost_ms() - io_before
-                return result
-        finally:
-            root.close()
-        return Relation(root.schema, rows, name=name)
-
-    def overflow_fallback(self, name: str) -> Relation:
-        """Run the plan as Section 3.4 partitioned hash-division.
-
-        Re-opens the plan's own dividend and divisor input subtrees, so
-        the caller must have closed :attr:`root` first, as
-        :meth:`steps` does on overflow.
-        """
+        yield self.root
+        if self.dividend_input is None or self.divisor_input is None:
+            return
+        self.fell_back = True
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.count("repro_plan_overflow_fallback_total")
@@ -239,8 +204,8 @@ class PhysicalPlan:
                 and estimates.divisor_tuples > estimates.estimated_quotient
             ):
                 strategy = "divisor"
-        return hash_division_with_overflow(
-            self.dividend_input, self.divisor_input, strategy=strategy, name=name
+        yield from overflow_attempts(
+            self.dividend_input, self.divisor_input, strategy=strategy
         )
 
     def explain(self, analyze: bool = False) -> str:

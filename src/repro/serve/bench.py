@@ -138,6 +138,8 @@ class LoadConfig:
             raise ServeError("table_pairs must be positive")
         if not 0.0 <= self.update_fraction <= 1.0:
             raise ServeError("update_fraction must be in [0, 1]")
+        if self.rows_per_step < 1:
+            raise ServeError("rows_per_step must be at least 1")
 
 
 @dataclass
@@ -287,9 +289,9 @@ def run_load(
     Deterministic end to end: tables, scripts, scheduler interleaving,
     and (when enabled) the fault schedule all derive from the config's
     seeds, and every duration is virtual.  The service's post-drain
-    leak audit runs (grants, locks, fixed frames, pool bytes); a dirty
-    drain raises :class:`~repro.errors.ServeError` rather than
-    reporting numbers measured on a leaking stack.
+    leak audit runs (grants, locks, fixed frames, pool bytes, temp and
+    run pages); a dirty drain raises :class:`~repro.errors.ServeError`
+    rather than reporting numbers measured on a leaking stack.
     """
     config.validate()
     metrics = metrics if metrics is not None else MetricsRegistry()

@@ -313,6 +313,8 @@ class QueryService:
         self.ctx = ctx
         self.catalog = catalog
         self.config = config or ServiceConfig()
+        if self.config.rows_per_step < 1:
+            raise ServeError("rows_per_step must be at least 1")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = VirtualClock()
         self.scheduler = CooperativeScheduler(
@@ -428,8 +430,9 @@ class QueryService:
 
         Raises:
             ServeError: With ``check_leaks`` (the default), when any
-                grant bytes, table locks, fixed buffer frames, or live
-                memory-pool bytes survive the drain.
+                grant bytes, table locks, fixed buffer frames, live
+                memory-pool bytes, or temp or run pages survive the
+                drain.
         """
         self.scheduler.run_until_complete()
         if check_leaks:
@@ -452,6 +455,9 @@ class QueryService:
             leaks.append(f"{fixed} buffer frames still fixed")
         if self.ctx.memory.bytes_in_use:
             leaks.append(f"{self.ctx.memory.bytes_in_use} pool bytes live")
+        for disk in (self.ctx.temp_disk, self.ctx.run_disk):
+            if disk.page_count:
+                leaks.append(f"{disk.page_count} {disk.name} pages allocated")
         return leaks
 
     # -- request lifecycle ---------------------------------------------

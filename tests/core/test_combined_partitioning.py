@@ -4,8 +4,8 @@
 import pytest
 
 from repro.errors import PartitioningError
-from repro.core.partitioned import combined_partitioned_division
-from repro.executor.iterator import ExecContext
+from repro.core.partitioned import PartitionedHashDivision
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg import algebra
 from repro.relalg.relation import Relation
@@ -26,30 +26,34 @@ class TestCorrectness:
     @pytest.mark.parametrize("q_parts,d_parts", [(1, 1), (2, 2), (3, 2), (2, 5), (4, 4)])
     def test_matches_oracle(self, ctx, workload, q_parts, d_parts):
         dividend, divisor, expected = workload
-        result = combined_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            quotient_partitions=q_parts,
-            divisor_partitions=d_parts,
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=q_parts,
+                divisor_partitions=d_parts,
+            )
         )
         assert result.set_equal(expected)
 
     def test_empty_divisor_vacuous(self, ctx):
         dividend = Relation.of_ints(("q", "d"), [(1, 5), (2, 6)])
         divisor = Relation.of_ints(("d",), [])
-        result = combined_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 2, 2
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend), RelationSource(ctx, divisor), 2, 2
+            )
         )
         assert sorted(result.rows) == [(1,), (2,)]
 
     def test_invalid_partition_counts(self, ctx, workload):
         dividend, divisor, _ = workload
         with pytest.raises(PartitioningError):
-            combined_partitioned_division(
+            PartitionedHashDivision(
                 RelationSource(ctx, dividend), RelationSource(ctx, divisor), 0, 2
             )
         with pytest.raises(PartitioningError):
-            combined_partitioned_division(
+            PartitionedHashDivision(
                 RelationSource(ctx, dividend), RelationSource(ctx, divisor), 2, 0
             )
 
@@ -68,18 +72,22 @@ class TestMemoryBehaviour:
         # since each q misses the d with (q + d) % 3 == 0.
         budget = 48 * 1024
         ctx = ExecContext(memory_budget=budget)
-        result = combined_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            quotient_partitions=8,
-            divisor_partitions=8,
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=8,
+                divisor_partitions=8,
+            )
         )
         assert result.rows == []
         assert ctx.memory.stats.peak_bytes <= budget
 
     def test_temp_pages_released(self, ctx, workload):
         dividend, divisor, _ = workload
-        combined_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 3, 3
+        run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend), RelationSource(ctx, divisor), 3, 3
+            )
         )
         assert ctx.temp_disk.page_count == 0

@@ -11,10 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import divide
 from repro.core.hash_division import HashDivision
-from repro.core.partitioned import (
-    divisor_partitioned_division,
-    quotient_partitioned_division,
-)
+from repro.core.partitioned import PartitionedHashDivision
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg import algebra
@@ -102,14 +99,16 @@ def test_partitioned_division_matches_oracle(dividend, divisor, partitions):
     R, S = as_relations(dividend, divisor)
     expected = algebra.divide_set_semantics(R, S)
     ctx = ExecContext()
-    quotient = quotient_partitioned_division(
-        RelationSource(ctx, R), RelationSource(ctx, S), partitions
-    )
-    assert quotient.set_equal(expected)
-    by_divisor = divisor_partitioned_division(
-        RelationSource(ctx, R), RelationSource(ctx, S), partitions
-    )
-    assert by_divisor.set_equal(expected)
+    for partitioning in (
+        {"quotient_partitions": partitions},
+        {"divisor_partitions": partitions},
+    ):
+        quotient = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, R), RelationSource(ctx, S), **partitioning
+            )
+        )
+        assert quotient.set_equal(expected)
 
 
 @given(st.lists(st.tuples(quotient_keys, divisor_keys), max_size=40), divisor_rows)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.partitioned import quotient_partitioned_division
-from repro.executor.iterator import ExecContext
+from repro.core.partitioned import PartitionedHashDivision
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg import algebra
 from repro.relalg.relation import Relation
@@ -23,29 +23,35 @@ class TestHybrid:
     @pytest.mark.parametrize("partitions", [1, 2, 4, 7])
     def test_matches_oracle(self, ctx, workload, partitions):
         dividend, divisor, expected = workload
-        result = quotient_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            partitions,
-            hybrid=True,
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=partitions,
+                hybrid=True,
+            )
         )
         assert result.set_equal(expected)
 
     def test_hybrid_spools_less(self, workload):
         dividend, divisor, _ = workload
         plain_ctx = ExecContext()
-        quotient_partitioned_division(
-            RelationSource(plain_ctx, dividend),
-            RelationSource(plain_ctx, divisor),
-            4,
-            hybrid=False,
+        run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(plain_ctx, dividend),
+                RelationSource(plain_ctx, divisor),
+                quotient_partitions=4,
+                hybrid=False,
+            )
         )
         hybrid_ctx = ExecContext()
-        quotient_partitioned_division(
-            RelationSource(hybrid_ctx, dividend),
-            RelationSource(hybrid_ctx, divisor),
-            4,
-            hybrid=True,
+        run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(hybrid_ctx, dividend),
+                RelationSource(hybrid_ctx, divisor),
+                quotient_partitions=4,
+                hybrid=True,
+            )
         )
         plain_bytes = plain_ctx.io_stats.counters("temp").bytes_total
         hybrid_bytes = hybrid_ctx.io_stats.counters("temp").bytes_total
@@ -54,21 +60,25 @@ class TestHybrid:
 
     def test_single_partition_hybrid_never_spools(self, ctx, workload):
         dividend, divisor, expected = workload
-        result = quotient_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            1,
-            hybrid=True,
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=1,
+                hybrid=True,
+            )
         )
         assert result.set_equal(expected)
         assert ctx.io_stats.counters("temp").transfers == 0
 
     def test_temp_pages_released(self, ctx, workload):
         dividend, divisor, _ = workload
-        quotient_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            4,
-            hybrid=True,
+        run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=4,
+                hybrid=True,
+            )
         )
         assert ctx.temp_disk.page_count == 0

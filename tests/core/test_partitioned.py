@@ -5,11 +5,7 @@ import pytest
 from repro.errors import HashTableOverflowError, PartitioningError
 from repro.core import partitioned
 from repro.core.hash_division import HashDivision
-from repro.core.partitioned import (
-    divisor_partitioned_division,
-    hash_division_with_overflow,
-    quotient_partitioned_division,
-)
+from repro.core.partitioned import PartitionedHashDivision, hash_division_with_overflow
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg import algebra
@@ -32,32 +28,44 @@ class TestQuotientPartitioning:
     @pytest.mark.parametrize("partitions", [1, 2, 3, 7])
     def test_matches_oracle(self, ctx, workload, partitions):
         dividend, divisor, expected = workload
-        result = quotient_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            partitions,
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=partitions,
+            )
         )
         assert result.set_equal(expected)
 
     def test_partition_count_validated(self, ctx, workload):
         dividend, divisor, _ = workload
         with pytest.raises(PartitioningError):
-            quotient_partitioned_division(
-                RelationSource(ctx, dividend), RelationSource(ctx, divisor), 0
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=0,
             )
 
     def test_temp_pages_released(self, ctx, workload):
         dividend, divisor, _ = workload
-        quotient_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 4
+        run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=4,
+            )
         )
         assert ctx.temp_disk.page_count == 0
 
     def test_spooling_charges_hashes(self, ctx, workload):
         dividend, divisor, _ = workload
         before = ctx.cpu.hashes
-        quotient_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 4
+        run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=4,
+            )
         )
         assert ctx.cpu.hashes - before >= len(dividend)
 
@@ -66,10 +74,12 @@ class TestDivisorPartitioning:
     @pytest.mark.parametrize("partitions", [1, 2, 3, 7])
     def test_matches_oracle(self, ctx, workload, partitions):
         dividend, divisor, expected = workload
-        result = divisor_partitioned_division(
-            RelationSource(ctx, dividend),
-            RelationSource(ctx, divisor),
-            partitions,
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                divisor_partitions=partitions,
+            )
         )
         assert result.set_equal(expected)
 
@@ -77,18 +87,94 @@ class TestDivisorPartitioning:
         # Some divisor clusters are empty and must be skipped.
         dividend = Relation.of_ints(("q", "d"), [(1, 5), (1, 6), (2, 5)])
         divisor = Relation.of_ints(("d",), [(5,), (6,)])
-        result = divisor_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 16
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                divisor_partitions=16,
+            )
         )
         assert result.rows == [(1,)]
 
     def test_empty_divisor_vacuous(self, ctx):
         dividend = Relation.of_ints(("q", "d"), [(1, 5), (2, 6)])
         divisor = Relation.of_ints(("d",), [])
-        result = divisor_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 4
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                divisor_partitions=4,
+            )
         )
         assert sorted(result.rows) == [(1,), (2,)]
+
+
+class TestOperator:
+    def _division(self, ctx, workload, **partitioning):
+        dividend, divisor, _ = workload
+        return PartitionedHashDivision(
+            RelationSource(ctx, dividend), RelationSource(ctx, divisor), **partitioning
+        )
+
+    def test_each_batch_is_one_quotient_cluster(self, ctx, workload):
+        """Quotient clusters are disjoint, so the batches are disjoint
+        and their concatenation is the quotient."""
+        _, _, expected = workload
+        division = self._division(ctx, workload, quotient_partitions=4)
+        division.open()
+        batches = list(iter(division.next_batch, []))
+        division.close()
+        assert 1 < len(batches) <= 4
+        rows = [row for batch in batches for row in batch]
+        assert len(rows) == len(set(rows)) and set(rows) == set(expected.rows)
+
+    @pytest.mark.parametrize(
+        "partitioning",
+        [
+            {"quotient_partitions": 4},
+            {"quotient_partitions": 4, "hybrid": True},
+            {"quotient_partitions": 3, "divisor_partitions": 2},
+        ],
+    )
+    def test_close_between_clusters_destroys_the_unread_ones(
+        self, ctx, workload, partitioning
+    ):
+        division = self._division(ctx, workload, **partitioning)
+        division.open()
+        assert division.next_batch()
+        assert ctx.temp_disk.page_count > 0  # clusters still queued
+        division.close()
+        assert ctx.temp_disk.page_count == 0
+        assert ctx.memory.bytes_in_use == 0
+        assert ctx.pool.fixed_page_count() == 0
+
+    def test_reopens_with_the_same_result(self, ctx, workload):
+        division = self._division(ctx, workload, quotient_partitions=3)
+        assert run_to_relation(division).rows == run_to_relation(division).rows
+
+    @pytest.mark.parametrize(
+        "partitioning",
+        [{"divisor_partitions": 0}, {"quotient_partitions": -1}, {"hybrid": True}],
+    )
+    def test_invalid_partitioning_rejected(self, ctx, workload, partitioning):
+        with pytest.raises(PartitioningError):
+            self._division(ctx, workload, **partitioning)
+
+
+class TestOverflowAttempts:
+    def test_single_phase_then_doubling_then_overflow(self, ctx, monkeypatch, workload):
+        monkeypatch.setattr(partitioned, "MAX_PARTITIONS", 8)
+        dividend, divisor, _ = workload
+        attempts = partitioned.overflow_attempts(
+            RelationSource(ctx, dividend), RelationSource(ctx, divisor), "divisor"
+        )
+        assert isinstance(next(attempts), HashDivision)
+        assert [
+            (attempt.quotient_partitions, attempt.divisor_partitions)
+            for attempt in (next(attempts) for _ in range(3))
+        ] == [(None, 2), (None, 4), (None, 8)]
+        with pytest.raises(HashTableOverflowError, match="with 8 partitions"):
+            next(attempts)
 
 
 class TestOverflowDriver:

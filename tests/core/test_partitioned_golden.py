@@ -35,14 +35,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.partitioned import (
-    combined_partitioned_division,
-    divisor_partitioned_division,
-    hash_division_with_overflow,
-    quotient_partitioned_division,
-)
+from repro.core.partitioned import PartitionedHashDivision, hash_division_with_overflow
 from repro.errors import ReproError
-from repro.executor.iterator import ExecContext
+from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.faults import FaultInjector, FaultRule
 from repro.obs.iotrace import IoEventLog, events_to_jsonl
@@ -79,15 +74,19 @@ BUDGETS = (None, 2500, 1200)
 #: I/O counters and the event log.
 SMALL_POOL = StorageConfig(buffer_size=16 * KIB, memory_limit=16 * KIB)
 
+def _run(dividend, divisor, **partitioning) -> Relation:
+    return run_to_relation(PartitionedHashDivision(dividend, divisor, **partitioning))
+
+
 #: Serial entry points: name -> call(dividend_op, divisor_op).
 PARTITIONED = {
-    "quotient-1": lambda r, s: quotient_partitioned_division(r, s, 1),
-    "quotient-4": lambda r, s: quotient_partitioned_division(r, s, 4),
-    "hybrid-1": lambda r, s: quotient_partitioned_division(r, s, 1, hybrid=True),
-    "hybrid-3": lambda r, s: quotient_partitioned_division(r, s, 3, hybrid=True),
-    "divisor-1": lambda r, s: divisor_partitioned_division(r, s, 1),
-    "divisor-3": lambda r, s: divisor_partitioned_division(r, s, 3),
-    "combined-3x2": lambda r, s: combined_partitioned_division(r, s, 3, 2),
+    "quotient-1": lambda r, s: _run(r, s, quotient_partitions=1),
+    "quotient-4": lambda r, s: _run(r, s, quotient_partitions=4),
+    "hybrid-1": lambda r, s: _run(r, s, quotient_partitions=1, hybrid=True),
+    "hybrid-3": lambda r, s: _run(r, s, quotient_partitions=3, hybrid=True),
+    "divisor-1": lambda r, s: _run(r, s, divisor_partitions=1),
+    "divisor-3": lambda r, s: _run(r, s, divisor_partitions=3),
+    "combined-3x2": lambda r, s: _run(r, s, quotient_partitions=3, divisor_partitions=2),
     "driver-quotient": lambda r, s: hash_division_with_overflow(r, s, "quotient"),
     "driver-divisor": lambda r, s: hash_division_with_overflow(r, s, "divisor"),
 }

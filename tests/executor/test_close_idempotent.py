@@ -16,6 +16,7 @@ resources.  This module pins the contract for **every** operator class:
 
 import pytest
 
+from repro.core.partitioned import PartitionedHashDivision
 from repro.errors import ExecutionError, HashTableOverflowError
 from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 from repro.executor.distinct import HashDistinct
@@ -90,6 +91,12 @@ BUILDERS = {
         ExternalSort(_src(env, "divisor"), key_names=("course_no",)),
         ("course_no",),
     ),
+    "PartitionedHashDivision": lambda env: PartitionedHashDivision(
+        _src(env, "dividend"),
+        _src(env, "divisor"),
+        quotient_partitions=2,
+        divisor_partitions=2,
+    ),
     "IndexSemiJoin": lambda env: IndexSemiJoin(
         _src(env, "dividend"),
         SecondaryIndex.build(_stored(env, env[3], "courses"), ["course_no"]),
@@ -152,10 +159,10 @@ def test_division_trees_survive_double_close(env, strategy):
 def test_failed_open_leaves_the_operator_closable():
     """A budget overflow *inside* ``open()`` must not poison ``close()``.
 
-    This is the serve-layer fallback path: ``root.open()`` raises
-    ``HashTableOverflowError``, the handler degrades to partitioned
-    division, and both the handler and the ``finally`` call
-    ``root.close()`` on the never-successfully-opened root.
+    This is the overflow fallback path: ``root.open()`` raises
+    ``HashTableOverflowError``, and the stepping loop calls
+    ``root.close()`` on the never-successfully-opened root before it
+    moves on to partitioned division.
     """
     from repro.relalg.relation import Relation
 

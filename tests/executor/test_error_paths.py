@@ -236,18 +236,20 @@ class TestFailedOpenUnderInjectedFaults:
     def test_partition_spool_fault_destroys_temp_files(self, hybrid):
         """A temp-device write fault while the dividend is spooled to
         its cluster files leaves no temp page allocated or fixed."""
-        from repro.core.partitioned import quotient_partitioned_division
+        from repro.core.partitioned import PartitionedHashDivision
         from repro.errors import DiskFaultError
 
         ctx = self._faulted_ctx(device="temp")
         rows = [(q, d) for q in range(200) for d in range(3)]
+        division = PartitionedHashDivision(
+            RelationSource(ctx, ints(("q", "d"), rows)),
+            RelationSource(ctx, ints(("d",), [(d,) for d in range(3)])),
+            quotient_partitions=3,
+            hybrid=hybrid,
+        )
         with pytest.raises(DiskFaultError):
-            quotient_partitioned_division(
-                RelationSource(ctx, ints(("q", "d"), rows)),
-                RelationSource(ctx, ints(("d",), [(d,) for d in range(3)])),
-                partitions=3,
-                hybrid=hybrid,
-            )
+            division.open()
+        division.close()  # idempotent no-op after the failed open
         assert ctx.temp_disk.page_count == 0
         assert ctx.pool.fixed_page_count() == 0
         ctx.close()

@@ -8,7 +8,7 @@ attributes, which the Figure 2 relations actually use.
 """
 
 from repro.core.hash_division import HashDivision
-from repro.core.partitioned import quotient_partitioned_division
+from repro.core.partitioned import PartitionedHashDivision
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource, TempFileScan
 from repro.executor.sort import ExternalSort
@@ -89,8 +89,12 @@ class TestStringMaterializeAndPartition:
     def test_partitioned_division_with_string_keys(self, ctx):
         dividend = enrollment(complete=3)
         divisor = Relation(COURSE_SCHEMA, [(c,) for c in COURSES])
-        result = quotient_partitioned_division(
-            RelationSource(ctx, dividend), RelationSource(ctx, divisor), 3
+        result = run_to_relation(
+            PartitionedHashDivision(
+                RelationSource(ctx, dividend),
+                RelationSource(ctx, divisor),
+                quotient_partitions=3,
+            )
         )
         assert sorted(result.rows) == sorted((n,) for n in NAMES[:3])
 

@@ -1,14 +1,19 @@
 """Tests for the strategy factory and the physical plan wrapper."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.partitioned import hash_division_with_overflow
 from repro.costmodel.advisor import RankedStrategy, rank_strategies
 from repro.costmodel.scenarios import TABLE2_COLUMNS
 from repro.errors import (
     DivisionError,
+    ExecutionError,
     HashTableOverflowError,
     QueryCancelledError,
+    QueryTimeoutError,
     ReproError,
 )
 from repro.executor.iterator import ExecContext, run_to_relation
@@ -110,14 +115,16 @@ class TestPhysicalPlan:
         # (not a lucky single-phase pass) produced the answer.
         assert ctx.io_stats.counters("temp").transfers > 0
 
-    def test_overflow_fallback_runs_standalone(self):
-        """The fallback serve degrades to: called directly, without a
-        prior overflow, it still yields the exact quotient."""
+    def test_overflow_driver_runs_standalone(self):
+        """The fallback sequence over the plan's own inputs, driven
+        without a prior overflow, still yields the exact quotient."""
         ctx = ExecContext()
         plan, dividend, divisor = self._plan(
             ctx, [(1, 0), (1, 1), (2, 0), (3, 1), (3, 0)], [(0,), (1,)]
         )
-        result = plan.overflow_fallback(name="quotient")
+        result = hash_division_with_overflow(
+            plan.dividend_input, plan.divisor_input, name="quotient"
+        )
         assert result.name == "quotient"
         assert result.set_equal(algebra.divide_set_semantics(dividend, divisor))
         assert ctx.memory.bytes_in_use == 0
@@ -158,36 +165,37 @@ def stored_plan(strategy, dividend_rows, divisor_rows, budget):
     return compile_plan(node, ctx, decision=decision), dividend, divisor
 
 
-def stepped_row_by_row(plan, rows_per_step, name, outcome):
-    """The stepping loop the query service ran before
-    :meth:`PhysicalPlan.steps`: ``next()`` row by row, then the
-    fallback on overflow.  Sets ``outcome["fell_back"]``."""
-    ctx, root = plan.ctx, plan.root
-    rows = []
-    try:
+def stepped_row_by_row(plan, rows_per_step):
+    """The loop :meth:`PhysicalPlan.steps` runs, with every attempt --
+    the root, then each fallback attempt -- pulled row by row with
+    ``next()``.  An attempt that overflows is closed, its rows dropped
+    and the I/O it spent yielded before the next attempt runs."""
+    ctx = plan.ctx
+    mark = ctx.io_cost_ms()
+    for attempt in plan.attempts():
+        rows = []
         try:
-            io_before = ctx.io_cost_ms()
-            root.open()
-            yield ctx.io_cost_ms() - io_before
+            attempt.open()
+            yield ctx.io_cost_ms() - mark
+            mark = ctx.io_cost_ms()
             exhausted = False
             while not exhausted:
-                io_before = ctx.io_cost_ms()
                 for _ in range(rows_per_step):
-                    row = root.next()
+                    row = attempt.next()
                     if row is None:
                         exhausted = True
                         break
                     rows.append(row)
-                yield ctx.io_cost_ms() - io_before
-        except HashTableOverflowError:
-            outcome["fell_back"] = True
-            root.close()
-            io_before = ctx.io_cost_ms()
-            rows = list(plan.overflow_fallback(name).rows)
-            yield ctx.io_cost_ms() - io_before
-        return rows
-    finally:
-        root.close()
+                yield ctx.io_cost_ms() - mark
+                mark = ctx.io_cost_ms()
+            return rows
+        except HashTableOverflowError as error:
+            overflow = error
+        finally:
+            attempt.close()
+        yield ctx.io_cost_ms() - mark
+        mark = ctx.io_cost_ms()
+    raise overflow
 
 
 def drive(run):
@@ -226,7 +234,9 @@ class TestSteps:
     ):
         """Same rows, same I/O delta at every yield and the same
         fallback as the row-by-row loop, for every strategy, whether
-        the plan finishes, overflows into the fallback, or fails."""
+        the plan finishes, overflows into the fallback, or fails; and
+        unless an error other than an overflow ends the run, the deltas
+        sum to the meter's growth."""
         dividend_rows = [
             (q, d) for q in range(quotients) for d in divisor_values if (q + d) % 5
         ] + misses
@@ -235,14 +245,18 @@ class TestSteps:
         plan, dividend, divisor = stored_plan(
             strategy, dividend_rows, divisor_rows, budget
         )
+        start = plan.ctx.io_cost_ms()
         deltas, rows, error = drive(plan.steps(rows_per_step, "quotient"))
         assert_nothing_held(plan.ctx)
+        if error in (None, HashTableOverflowError):
+            # Exact cost conservation: every attempt's I/O, a failed
+            # one's included, is part of a yielded delta.
+            assert sum(deltas) == plan.ctx.io_cost_ms() - start
 
         reference, *_ = stored_plan(strategy, dividend_rows, divisor_rows, budget)
-        outcome = {"fell_back": False}
-        expected = drive(stepped_row_by_row(reference, rows_per_step, "quotient", outcome))
+        expected = drive(stepped_row_by_row(reference, rows_per_step))
         assert (deltas, rows, error) == expected
-        assert plan.fell_back is outcome["fell_back"]
+        assert plan.fell_back is reference.fell_back
         assert plan.ctx.io_cost_ms() == reference.ctx.io_cost_ms()
 
         estimates = plan.decisions[0].estimates
@@ -265,25 +279,54 @@ class TestSteps:
         assert len(deltas) == 1 + stretches
         assert deltas[0] > 0  # open() reads the cold divisor
 
+    @pytest.mark.parametrize("rows_per_step", [0, -1])
+    def test_rows_per_step_below_one_is_rejected(self, rows_per_step):
+        """A stretch must take a row, or stepping never ends; at most
+        1,000 yields are taken, so a loop that does not check fails
+        here instead of hanging."""
+        plan, *_ = stored_plan("hash-division", [(1, 0)], [(0,)], None)
+        with pytest.raises(ExecutionError, match="rows_per_step"):
+            list(islice(plan.steps(rows_per_step, "quotient"), 1000))
+        assert_nothing_held(plan.ctx)
+
+    @pytest.mark.parametrize("error", [QueryCancelledError, QueryTimeoutError])
+    @pytest.mark.parametrize(
+        "quotients,divisors", [(64, 8), (8, 64)], ids=["wide", "deep"]
+    )
     @pytest.mark.parametrize("strategy", TABLE2_COLUMNS)
     @pytest.mark.parametrize("budget", [None, 2048], ids=["fits", "overflows"])
-    def test_cancel_at_every_yield_leaks_nothing(self, strategy, budget):
-        """A cancellation thrown in at any yield -- the open, each
-        stretch, or the fallback's -- propagates, and the plan holds
-        no frame, no memory and no spilled page afterwards."""
-        dividend_rows = [(q, d) for q in range(64) for d in range(8)]
-        divisor_rows = [(d,) for d in range(8)]
+    def test_cancel_at_every_yield_leaks_nothing(
+        self, strategy, budget, quotients, divisors, error
+    ):
+        """A cancellation or a deadline thrown in at any yield -- the
+        open, each stretch, or any of the fallback's -- propagates, and
+        the plan holds no frame, no memory and no spilled page
+        afterwards, also when quotient clusters are still unread."""
+        dividend_rows = [(q, d) for q in range(quotients) for d in range(divisors)]
+        divisor_rows = [(d,) for d in range(divisors)]
         plan, *_ = stored_plan(strategy, dividend_rows, divisor_rows, budget)
-        deltas, rows, error = drive(plan.steps(7, "quotient"))
-        assert error is None and len(rows) == 64
-        # Under the small budget every hash table overflows in open(),
-        # which leaves the fallback's as the only yield.
-        assert plan.fell_back is (budget is not None and strategy.startswith("hash"))
+        start = plan.ctx.io_cost_ms()
+        deltas, rows, failure = drive(plan.steps(7, "quotient"))
+        assert failure is None and len(rows) == quotients
+        assert sum(deltas) == plan.ctx.io_cost_ms() - start
+        # Under the small budget hash-division overflows in open() on
+        # both shapes; the fallback then yields at its own open and at
+        # each stretch (the wide one quotient-partitions, the deep one
+        # divisor-partitions).
+        if budget is None or strategy == "hash-division":
+            assert plan.fell_back is (budget is not None)
+        unread_clusters = []
         for at in range(len(deltas)):
             plan, *_ = stored_plan(strategy, dividend_rows, divisor_rows, budget)
             run = plan.steps(7, "quotient")
             for _ in range(at + 1):
                 next(run)
-            with pytest.raises(QueryCancelledError):
-                run.throw(QueryCancelledError("cancelled"))
+            unread_clusters.append(plan.ctx.temp_disk.page_count > 0)
+            with pytest.raises(error):
+                run.throw(error("thrown in at a yield"))
             assert_nothing_held(plan.ctx)
+        if plan.fell_back:
+            assert len(deltas) > 2
+            # A quotient-partitioned fallback is thrown into between
+            # two clusters, with cluster files still on the temp device.
+            assert any(unread_clusters) is (quotients > divisors)

@@ -53,6 +53,7 @@ class TestLoadConfigValidation:
             {"requests_per_client": 0},
             {"table_pairs": 0},
             {"update_fraction": 1.5},
+            {"rows_per_step": 0},
         ],
     )
     def test_invalid_shapes_rejected(self, kwargs):

@@ -137,6 +137,30 @@ class TestSingleQuery:
         assert isinstance(payload, DivisionDecision)
         assert payload.strategy == second.result.strategy
 
+    def test_rows_per_step_below_one_is_rejected(self):
+        with pytest.raises(ServeError, match="rows_per_step"):
+            make_service(rows_per_step=0)
+
+    def test_leak_report_counts_temp_and_run_pages(self):
+        from repro.relalg.schema import Schema
+
+        service, _ = make_service()
+        record = Schema.of_ints("a").codec().encode((1,))
+        files = [service.ctx.temp_file(kind) for kind in ("temp", "runs")]
+        for file in files:
+            file.append(record)
+        ctx = service.ctx
+        assert ctx.temp_disk.page_count > 0 and ctx.run_disk.page_count > 0
+        assert service.leak_report() == [
+            f"{ctx.temp_disk.page_count} temp pages allocated",
+            f"{ctx.run_disk.page_count} runs pages allocated",
+        ]
+        with pytest.raises(ServeError, match="temp pages allocated"):
+            service.run()
+        for file in files:
+            file.destroy()
+        assert service.leak_report() == []
+
     def test_unknown_table_is_a_typed_error(self):
         service, _ = make_service()
         service.submit_query("nope", "courses")
@@ -285,6 +309,25 @@ class TestAdmissionIntegration:
         assert frozenset(task.result.rows) == oracle
         # With 2 KiB the hash tables cannot fit: the overflow path ran.
         assert outcomes[0].fell_back is True
+
+    def test_deadlines_inside_the_fallback_leak_no_page(self):
+        """The fallback steps a stretch at a time, so a deadline can
+        land between two of its clusters; the drain's leak audit, which
+        counts temp and run pages, stays clean wherever it lands."""
+        from repro.storage.config import StorageConfig
+
+        timed_out_in_fallback = 0
+        for deadline in range(300, 6000, 250):
+            service, _ = make_service(
+                memory_budget=2048, divisor=8, quotient=64, result_cache=False,
+                plan_cache=False, rows_per_step=8,
+                storage=StorageConfig(page_size=512, buffer_size=4 * 512),
+            )
+            service.submit_query("enrollment", "courses", deadline_ms=deadline)
+            (outcome,) = service.run()  # raises on any leak
+            assert outcome.outcome in ("ok", "timeout")
+            timed_out_in_fallback += outcome.outcome == "timeout" and outcome.fell_back
+        assert timed_out_in_fallback > 1
 
     def test_failing_fallback_is_still_recorded_as_a_fallback(self):
         """A temp-device write fault while the fallback spools its
