@@ -196,7 +196,7 @@ class PartitionedHashDivision(QueryIterator):
     techniques" for when "both divisor and quotient are too large": a
     phase holds ``1/divisor_partitions`` of the divisor table and about
     ``1/quotient_partitions`` of the quotient candidates.  Each batch is
-    the quotient of the next cluster with a non-empty one.
+    the quotient of the next cluster whose quotient is not empty.
     """
 
     def __init__(
