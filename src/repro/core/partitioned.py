@@ -350,15 +350,21 @@ def step_attempts(
     caller does in between is not charged here.  An attempt that raises
     :class:`~repro.errors.HashTableOverflowError` is closed, its rows
     dropped and its I/O yielded; then the next one runs, or the last
-    overflow propagates.  So the deltas sum to the meter's growth on
-    every run that finishes or overflows.  Each attempt is closed
-    however the generator ends: an error thrown in at a yield (a
-    cancellation, a deadline) leaks nothing.
+    overflow propagates.  The next attempt is asked for before that
+    yield, so ``attempts`` learns of the overflow even when the run
+    ends there.  So the deltas sum to the meter's growth on every run
+    that finishes or overflows.  Each attempt is closed however the
+    generator ends: an error thrown in at a yield (a cancellation, a
+    deadline) leaks nothing.  ``attempts`` must not be empty.
     """
     if rows_per_step < 1:
         raise ExecutionError(f"rows_per_step must be at least 1, got {rows_per_step}")
     mark = ctx.io_cost_ms()
-    for attempt in attempts:
+    attempts = iter(attempts)
+    attempt = next(attempts, None)
+    if attempt is None:
+        raise ExecutionError("step_attempts needs at least one attempt")
+    while attempt is not None:
         try:
             attempt.open()
             yield ctx.io_cost_ms() - mark
@@ -376,6 +382,10 @@ def step_attempts(
             overflow = error
         finally:
             attempt.close()
+        try:
+            attempt = next(attempts, None)
+        except HashTableOverflowError as error:
+            overflow, attempt = error, None
         yield ctx.io_cost_ms() - mark
         mark = ctx.io_cost_ms()
     raise overflow

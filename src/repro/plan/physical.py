@@ -142,8 +142,10 @@ class PhysicalPlan:
             subtree (below any strategy-specific sorts/joins) -- the
             hook the overflow fallback re-opens.
         divisor_input: Likewise for the divisor input subtree.
-        fell_back: Whether the last :meth:`steps` run went on to the
-            Section 3.4 fallback after the root overflowed.
+        fell_back: Whether the root overflowed in the last :meth:`steps`
+            run and the plan fell back to Section 3.4; set at the
+            overflow, so also when the run ends before the fallback
+            opens.
     """
 
     root: QueryIterator
@@ -176,7 +178,8 @@ class PhysicalPlan:
         """What :meth:`steps` runs, in order, until one does not overflow.
 
         The root first.  When it overflows and the plan has its input
-        subtrees, :attr:`fell_back` is set and the Section 3.4 sequence
+        subtrees, :attr:`fell_back` is set at once (before the yield
+        that books the root's failed I/O) and the Section 3.4 sequence
         (:func:`~repro.core.partitioned.overflow_attempts`) re-opens
         them.  Hash-division is duplicate-immune and handles the empty
         divisor, so the fallback is correct whichever strategy

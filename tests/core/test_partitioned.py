@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import HashTableOverflowError, PartitioningError
+from repro.errors import ExecutionError, HashTableOverflowError, PartitioningError
 from repro.core import partitioned
 from repro.core.hash_division import HashDivision
 from repro.core.partitioned import PartitionedHashDivision, hash_division_with_overflow
@@ -10,6 +10,7 @@ from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg import algebra
 from repro.relalg.relation import Relation
+from repro.storage.config import StorageConfig
 
 
 @pytest.fixture
@@ -175,6 +176,36 @@ class TestOverflowAttempts:
         ] == [(None, 2), (None, 4), (None, 8)]
         with pytest.raises(HashTableOverflowError, match="with 8 partitions"):
             next(attempts)
+
+    def test_exhausted_sequence_yields_every_attempts_io(self, monkeypatch):
+        """When even the last attempt overflows, the "still overflows"
+        error propagates after the failed attempts' I/O was yielded."""
+        monkeypatch.setattr(partitioned, "MAX_PARTITIONS", 2)
+        dividend, divisor = TestOverflowDriver().make_big()
+        # A four-frame pool, so the spool of the last attempt does I/O.
+        ctx = ExecContext(
+            config=StorageConfig(page_size=512, buffer_size=4 * 512),
+            memory_budget=8 * 1024,
+        )
+        run = partitioned.step_attempts(
+            ctx,
+            partitioned.overflow_attempts(
+                RelationSource(ctx, dividend), RelationSource(ctx, divisor)
+            ),
+            rows_per_step=50,
+        )
+        start, deltas = ctx.io_cost_ms(), []
+        with pytest.raises(HashTableOverflowError, match="with 2 partitions"):
+            while True:
+                deltas.append(next(run))
+        assert deltas[-1] > 0
+        assert sum(deltas) == ctx.io_cost_ms() - start
+        assert ctx.memory.bytes_in_use == 0
+        assert ctx.temp_disk.page_count == 0
+
+    def test_no_attempt_is_a_typed_error(self, ctx):
+        with pytest.raises(ExecutionError, match="at least one attempt"):
+            next(partitioned.step_attempts(ctx, [], rows_per_step=1))
 
 
 class TestOverflowDriver:
